@@ -14,14 +14,14 @@ The CLI writes the same grids as CSV for plotting:
 
 import numpy as np
 
-from smartmining import MODE_SMART, MODE_SMARTER_OPTIMAL, optimal_idle, sweep
+from smartmining import MODE_SMART, MODE_SMARTER, optimal_idle, sweep
 from smartmining.analytic import _canonical
 
 xs = [round(x, 2) for x in np.arange(0.05, 0.96, 0.10)]
 ys = [round(y, 2) for y in np.arange(0.05, 0.56, 0.10)]
 
 smart = sweep(xs, ys, MODE_SMART)
-smarter = sweep(xs, ys, MODE_SMARTER_OPTIMAL)
+smarter = sweep(xs, ys, MODE_SMARTER)
 
 print("tuned-idle ROI (percent of total cost), x across, y down:")
 print("        " + "".join(f"{x:>8.2f}" for x in xs))

@@ -11,7 +11,7 @@ under-50% attacks.
 
 from .analytic import (
     MODE_SMART,
-    MODE_SMARTER_OPTIMAL,
+    MODE_SMARTER,
     AggregateContext,
     SmarterPoint,
     dominance,
@@ -60,7 +60,7 @@ __all__ = [
     "MinerEpochStats",
     "MinerParams",
     "MODE_SMART",
-    "MODE_SMARTER_OPTIMAL",
+    "MODE_SMARTER",
     "SimulationTrace",
     "SmarterPoint",
     "StalledEpochError",

@@ -23,7 +23,7 @@ import numpy as np
 from .model import CoinParams, MinerParams
 
 MODE_SMART = "smart"
-MODE_SMARTER_OPTIMAL = "smarter-optimal"
+MODE_SMARTER = "smarter"
 
 
 @dataclass(frozen=True)
@@ -176,10 +176,10 @@ def sweep(xs, ys, mode: str) -> np.ndarray:
     """ROI matrix over power shares ``xs`` (columns) and fixed-cost shares
     ``ys`` (rows), row-major with y as the outer axis.
 
-    Mode ``"smart"`` evaluates the plain alternation; ``"smarter-optimal"``
+    Mode ``"smart"`` evaluates the plain alternation; ``"smarter"``
     tunes the idle power per cell first, so its entries dominate cellwise.
     """
-    if mode not in (MODE_SMART, MODE_SMARTER_OPTIMAL):
+    if mode not in (MODE_SMART, MODE_SMARTER):
         raise ValueError(f"unknown sweep mode '{mode}'")
     xs = [float(x) for x in xs]
     ys = [float(y) for y in ys]
@@ -191,7 +191,7 @@ def sweep(xs, ys, mode: str) -> np.ndarray:
     for y in ys:
         if not 0 <= y < 1:
             raise ValueError(f"fixed-cost shares must lie in [0, 1), got {y}")
-    if mode == MODE_SMARTER_OPTIMAL:
+    if mode == MODE_SMARTER:
         from .optimizer import optimal_idle  # deferred: optimizer imports this module
     out = np.empty((len(ys), len(xs)), dtype=float)
     for i, y in enumerate(ys):

@@ -20,7 +20,7 @@ import sys
 from . import __version__
 from .analytic import (
     MODE_SMART,
-    MODE_SMARTER_OPTIMAL,
+    MODE_SMARTER,
     AggregateContext,
     dominance,
     epoch_table_smart,
@@ -223,11 +223,10 @@ def _cmd_optimize(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.nx < 2 or args.ny < 2:
         raise _ConfigError(["--nx and --ny must be >= 2"])
-    mode = MODE_SMART if args.mode == "smart" else MODE_SMARTER_OPTIMAL
     # cell centers keep every grid point strictly inside (0, 1)
     xs = [(j + 0.5) / args.nx for j in range(args.nx)]
     ys = [(i + 0.5) / args.ny for i in range(args.ny)]
-    matrix = sweep(xs, ys, mode)
+    matrix = sweep(xs, ys, args.mode)
     lines = ["x,y,roi"]
     for i, yv in enumerate(ys):
         for j, xv in enumerate(xs):
@@ -288,7 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_optimize)
 
     p = sub.add_parser("sweep", help="ROI heatmap CSV over power share x and fixed-cost share y")
-    p.add_argument("--mode", choices=["smart", "smarter"], required=True)
+    p.add_argument("--mode", choices=(MODE_SMART, MODE_SMARTER), required=True)
     p.add_argument("--nx", type=int, required=True, help="number of x cells (>= 2)")
     p.add_argument("--ny", type=int, required=True, help="number of y cells (>= 2)")
     p.add_argument("--out", required=True, help="output CSV path")

@@ -9,56 +9,55 @@ import numpy as np
 from .analytic import AggregateContext, SmarterPoint, roi, smarter_utility
 from .model import MinerParams
 
-_COARSE_POINTS = 1025
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # brute-force evaluation block; sized to keep the working set inside the cache
 _CHUNK = 131072
 
 
-def _golden_max(f, lo: float, hi: float, xtol: float) -> tuple[float, float]:
-    """Golden-section maximum of ``f`` on [lo, hi]; ties drift toward lo."""
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > xtol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    x = (a + b) / 2
-    return x, f(x)
-
-
 def optimal_idle(ctx: AggregateContext, miner: MinerParams) -> SmarterPoint:
-    """Idle power maximizing the partial-idle utility over [0, m].
+    """Idle power maximizing the partial-idle utility over [0, m], in closed form.
 
-    Scans a uniform 1025-point grid first (the objective is cheap and no
-    unimodality is assumed), then refines the best bracket by golden section.
-    Exact utility ties resolve to the smaller idle power, the lesser harm to
-    coin security.
+    With R = M - delta, r0 = w/(M*tau) and g = r0 - vc, the utility is a ratio
+    of quadratics, u = Q(R)/(R^2 + M^2) with Q(R) = q2*R^2 + q1*R + q0 and
+
+        q2 = -(fc + vc*m),  q1 = M*(m*r0 + M*g),  q0 = -M^2*(g*(M - m) + fc).
+
+    In u' = 0 the cubic terms cancel, leaving the stationarity quadratic
+
+        q1*R^2 - 2*(q2*M^2 - q0)*R - q1*M^2 = 0,
+
+    whose roots multiply to -M^2: for q1 != 0 exactly one root R+ is
+    positive (for q1 == 0 the only root is R = 0, i.e. delta = M > m).  The
+    maximum therefore lies among the three candidates 0, M - R+ (kept only
+    when strictly inside (0, m)) and m, which are evaluated in ascending
+    order by a single ``smarter_utility`` call.  Exact utility ties resolve
+    to the smaller idle power, the lesser harm to coin security; delta = m
+    is evaluated operation for operation like ``smart_utility``.
+
+    A sole miner (m = M) is rejected: delta = m would idle the whole network
+    and stall the reduced epoch, so ``smarter_utility`` requires delta < M.
     """
     M, m = ctx.M, miner.m
     if not 0 < m < M:
         raise ValueError(f"deviating power must satisfy 0 < m < M, got m={m}, M={M}")
-    deltas = np.linspace(0.0, m, _COARSE_POINTS)
-    us = smarter_utility(ctx, miner, deltas)
+    r0 = ctx.coin.w / (M * ctx.coin.tau)
+    g = r0 - miner.vc
+    q2 = -(miner.fc + miner.vc * m)
+    q1 = M * (m * r0 + M * g)
+    q0 = -M * M * (g * (M - m) + miner.fc)
+    deltas = [0.0]
+    if q1 != 0:
+        b = q2 * M * M - q0
+        s = math.copysign(math.hypot(b, q1 * M), q1)
+        # stable quadratic formula: never add terms of opposite sign
+        r_plus = (b + s) / q1 if b * q1 >= 0 else -q1 * M * M / (b - s)
+        interior = M - r_plus
+        if 0.0 < interior < m:
+            deltas.append(interior)
+    deltas.append(float(m))
+    us = smarter_utility(ctx, miner, np.array(deltas))
     j = int(np.argmax(us))
-    lo = float(deltas[j - 1]) if j > 0 else 0.0
-    hi = float(deltas[j + 1]) if j + 1 < len(deltas) else float(m)
-    d_ref, u_ref = _golden_max(lambda d: smarter_utility(ctx, miner, d), lo, hi, xtol=1e-9 * m)
-    candidates = [
-        (0.0, float(us[0])),
-        (float(m), float(us[-1])),
-        (float(deltas[j]), float(us[j])),
-        (float(d_ref), float(u_ref)),
-    ]
-    best_delta, best_u = min(candidates, key=lambda c: (-c[1], c[0]))
-    return SmarterPoint(delta=best_delta, utility=best_u, roi=roi(best_u, miner))
+    best_u = float(us[j])
+    return SmarterPoint(delta=deltas[j], utility=best_u, roi=roi(best_u, miner))
 
 
 def brute_force_idle(ctx: AggregateContext, miner: MinerParams, resolution: int) -> SmarterPoint:

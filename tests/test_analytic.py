@@ -18,7 +18,7 @@ from smartmining import (
     smarter_utility,
     sweep,
 )
-from smartmining.analytic import MODE_SMART, MODE_SMARTER_OPTIMAL, _canonical
+from smartmining.analytic import MODE_SMART, MODE_SMARTER, _canonical
 
 
 def _bisect_boundary(y, iters=200):
@@ -250,7 +250,7 @@ class TestSweep:
         xs = [(j + 0.5) / 12 for j in range(12)]
         ys = [(i + 0.5) / 12 for i in range(12)]
         smart = sweep(xs, ys, MODE_SMART)
-        smarter = sweep(xs, ys, MODE_SMARTER_OPTIMAL)
+        smarter = sweep(xs, ys, MODE_SMARTER)
         assert np.all(smarter >= smart)
 
     def test_row_near_quarter_positive_only_between_roots(self):

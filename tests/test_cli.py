@@ -167,6 +167,17 @@ class TestOptimize:
         assert main(["optimize", cfg, "--miner", "attacker"]) == 0
         assert capsys.readouterr().out == first
 
+    def test_sole_miner_exits_2(self, tmp_path, capsys):
+        # idling all of the network's power would stall the reduced epoch
+        doc = {"coin": {"tau": 600.0, "epsilon": 0.0}, "miners": [SMART_CONFIG["miners"][0]]}
+        cfg = _write_config(tmp_path, doc)
+        assert main(["optimize", cfg, "--miner", "attacker"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        errors = json.loads(captured.err)
+        assert isinstance(errors, list) and errors
+
 
 class TestSweep:
     def test_sign_pattern_matches_dominance(self, tmp_path):

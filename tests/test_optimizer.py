@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from smartmining import (
     AggregateContext,
@@ -7,8 +9,25 @@ from smartmining import (
     brute_force_idle,
     optimal_idle,
     smart_utility,
+    smarter_utility,
 )
 from smartmining.analytic import _canonical
+
+
+@st.composite
+def concrete_markets(draw):
+    """A deviator in an arbitrary concrete market, not only the unit-normalized
+    zero-margin one: variable costs reach 10x the baseline revenue per hash,
+    so the stationarity quadratic's linear coefficient q1 takes both signs."""
+    M = draw(st.floats(1e-2, 1e4))
+    m = draw(st.floats(1e-3, 0.999)) * M
+    tau = draw(st.floats(1e-2, 1e3))
+    w = draw(st.floats(1e-2, 1e3))
+    r0 = w / (M * tau)
+    vc = draw(st.floats(0.0, 10.0)) * r0
+    fc = draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0))) * m * r0
+    assume(fc + vc * m > 0)
+    return AggregateContext(M=M, coin=CoinParams(tau=tau, epsilon=0.0, w=w)), MinerParams("d", m, fc, vc)
 
 
 class TestOptimalIdle:
@@ -58,6 +77,26 @@ class TestOptimalIdle:
         scaled = optimal_idle(big_ctx, big_miner).delta / big_miner.m
         # the argmax is only defined to the tuner's idle tolerance of 1e-6*m
         assert scaled == pytest.approx(base, abs=1e-6)
+
+    @settings(max_examples=200, deadline=None)
+    @given(concrete_markets())
+    def test_closed_form_is_never_beaten(self, market):
+        ctx, miner = market
+        point = optimal_idle(ctx, miner)
+        assert 0.0 <= point.delta <= miner.m
+        # both endpoints are candidates, evaluated exactly as the references
+        assert point.utility >= smarter_utility(ctx, miner, 0.0)
+        assert point.utility >= smart_utility(ctx, miner)
+        oracle = brute_force_idle(ctx, miner, 20_000)
+        assert point.utility >= oracle.utility - 1e-12 * miner.cost_rate
+
+    def test_degenerate_stationarity_quadratic(self):
+        # r0 = 1 and g = r0 - vc = -0.5 make q1 = M*(m*r0 + M*g) exactly 0
+        ctx = AggregateContext(M=2.0, coin=CoinParams(tau=1.0, epsilon=0.0, w=2.0))
+        miner = MinerParams("d", m=1.0, fc=0.1, vc=1.5)
+        point = optimal_idle(ctx, miner)
+        assert point.delta in (0.0, miner.m)
+        assert point.utility >= brute_force_idle(ctx, miner, 20_000).utility
 
     def test_domain_error_at_full_market_power(self):
         coin = CoinParams(tau=1.0, epsilon=0.0, w=5.0)
