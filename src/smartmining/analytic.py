@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CoinParams, MinerParams
+from .model import CoinParams, MinerParams, _finite
 
 MODE_SMART = "smart"
 MODE_SMARTER = "smarter"
@@ -35,7 +35,7 @@ class AggregateContext:
     coin: CoinParams
 
     def __post_init__(self):
-        if not (isinstance(self.M, (int, float)) and math.isfinite(self.M) and self.M > 0):
+        if not (_finite(self.M) and self.M > 0):
             raise ValueError(f"total hash power must be finite and > 0, got {self.M}")
 
 
@@ -117,7 +117,7 @@ def min_power_for_profit(y: float) -> float:
     Raises for y >= 1/4, where no power share suffices (the maximum of
     x*(1 - x) is 1/4).
     """
-    if not (isinstance(y, (int, float)) and math.isfinite(y) and y >= 0):
+    if not (_finite(y) and y >= 0):
         raise ValueError(f"fixed-cost share must be finite and >= 0, got {y}")
     if y >= 0.25:
         raise ValueError("no power share suffices: x*(1 - x) never exceeds 1/4")

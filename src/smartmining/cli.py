@@ -6,8 +6,8 @@ sweep (ROI heatmap CSV over power and cost shares), security (attack report,
 optionally with an entrant effect).
 
 Exit codes: 0 success, 2 configuration or usage error, 3 model error
-(stalled epoch), 4 I/O error.  Config validation failures print a JSON list
-of messages on stderr.  All outputs are byte-stable for identical inputs.
+(stalled epoch), 4 I/O error.  Every exit 2 prints a JSON list of messages
+on stderr, bad flag values included.  Outputs are byte-stable for identical inputs.
 """
 
 from __future__ import annotations
@@ -49,48 +49,61 @@ EXIT_MODEL = 3
 EXIT_IO = 4
 
 
-class _ConfigError(Exception):
-    def __init__(self, errors):
-        super().__init__("; ".join(errors))
-        self.errors = list(errors)
+def _number(value):
+    """A JSON number other than a bool as a float; other values pass unchanged."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    return value
+
+
+def _objects(doc, key, errors):
+    """The JSON objects listed under ``key``; a wrong shape adds an error and yields none."""
+    entries = doc.get(key, [])
+    if isinstance(entries, list) and all(isinstance(e, dict) for e in entries):
+        return entries
+    errors.append(f"'{key}' must be a list of JSON objects")
+    return []
 
 
 def _load_scenario(path):
     """Parse and validate a scenario config; returns (coin, miners, schedules).
 
-    Collects every problem it can find before failing so the error list is
-    actionable in one pass.
+    Values reach the model types uncoerced, except that JSON numbers become
+    floats.  Collects every problem it can find before failing so the error
+    list is actionable in one pass.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise _ConfigError([f"cannot read config: {exc}"])
-    except json.JSONDecodeError as exc:
-        raise _ConfigError([f"config is not valid JSON: {exc}"])
+        raise ConfigurationError(f"cannot read config: {exc}")
+    except (ValueError, RecursionError) as exc:
+        raise ConfigurationError(f"config is not valid JSON: {exc}")
     if not isinstance(doc, dict):
-        raise _ConfigError(["config root must be a JSON object"])
+        raise ConfigurationError("config root must be a JSON object")
 
     errors = []
     miners = []
-    for i, entry in enumerate(doc.get("miners", [])):
+    for i, entry in enumerate(_objects(doc, "miners", errors)):
         try:
-            miners.append(MinerParams(id=str(entry["id"]), m=float(entry["m"]),
-                                      fc=float(entry["fc"]), vc=float(entry["vc"])))
+            miners.append(MinerParams(id=entry["id"], m=_number(entry["m"]),
+                                      fc=_number(entry["fc"]), vc=_number(entry["vc"])))
         except KeyError as exc:
             errors.append(f"miners[{i}]: missing field {exc}")
-        except (TypeError, ValueError) as exc:
+        except (ValueError, ArithmeticError) as exc:
             errors.append(f"miners[{i}]: {exc}")
 
     schedules = []
-    for i, entry in enumerate(doc.get("schedules", [])):
+    for i, entry in enumerate(_objects(doc, "schedules", errors)):
         try:
-            schedules.append(StrategySchedule(miner_id=str(entry["miner_id"]),
-                                              powers=tuple(float(p) for p in entry["powers"]),
-                                              offset=int(entry.get("offset", 0))))
+            if not isinstance(entry["powers"], list):
+                raise ValueError(f"powers must be a list, got {entry['powers']!r}")
+            schedules.append(StrategySchedule(miner_id=entry["miner_id"],
+                                              powers=tuple(_number(p) for p in entry["powers"]),
+                                              offset=entry.get("offset", 0)))
         except KeyError as exc:
             errors.append(f"schedules[{i}]: missing field {exc}")
-        except (TypeError, ValueError) as exc:
+        except (ValueError, ArithmeticError) as exc:
             errors.append(f"schedules[{i}]: {exc}")
 
     coin = None
@@ -99,26 +112,19 @@ def _load_scenario(path):
         errors.append("missing 'coin' section")
     else:
         try:
-            tau = float(coin_doc["tau"])
-            epsilon = float(coin_doc.get("epsilon", 0.0))
-            clamp = coin_doc.get("clamp")
+            tau = _number(coin_doc["tau"])
+            epsilon = _number(coin_doc.get("epsilon", 0.0))
             reward = doc.get("reward", "calibrated")
-            if reward == "calibrated":
-                w = calibrate_reward(miners, tau, epsilon) if miners else 0.0
-            elif isinstance(reward, (int, float)) and not isinstance(reward, bool):
-                w = float(reward)
-            else:
-                raise ValueError("'reward' must be \"calibrated\" or a number")
-            coin = CoinParams(tau=tau, epsilon=epsilon, w=w,
-                              clamp=float(clamp) if clamp is not None else None)
+            w = calibrate_reward(miners, tau, epsilon) if reward == "calibrated" else _number(reward)
+            coin = CoinParams(tau=tau, epsilon=epsilon, w=w, clamp=_number(coin_doc.get("clamp")))
         except KeyError as exc:
             errors.append(f"coin: missing field {exc}")
-        except (TypeError, ValueError) as exc:
+        except (ValueError, ArithmeticError) as exc:
             errors.append(f"coin: {exc}")
 
     errors.extend(validate_scenario(coin, miners, schedules))
     if errors:
-        raise _ConfigError(errors)
+        raise ConfigurationError(*errors)
     return coin, miners, schedules
 
 
@@ -126,7 +132,7 @@ def _find_miner(miners, miner_id):
     for p in miners:
         if p.id == miner_id:
             return p
-    raise _ConfigError([f"unknown miner '{miner_id}'"])
+    raise ConfigurationError(f"unknown miner '{miner_id}'")
 
 
 def _print_json(doc) -> None:
@@ -153,7 +159,7 @@ def _write_trace_csv(path, trace, miners) -> None:
 
 def _cmd_simulate(args) -> int:
     if args.epochs < 1:
-        raise _ConfigError(["--epochs must be >= 1"])
+        raise ConfigurationError("--epochs must be >= 1")
     coin, miners, schedules = _load_scenario(args.config)
     trace = run(coin, miners, schedules, args.epochs)
     os.makedirs(args.out, exist_ok=True)
@@ -177,20 +183,15 @@ def _cmd_analyze(args) -> int:
     ctx = AggregateContext(M=total_power(miners), coin=coin)
     x = miner.m / ctx.M
     y = miner.fc / miner.cost_rate
-    try:
-        u = smart_utility(ctx, miner)
-        table = epoch_table_smart(ctx, miner)
-        dom = dominance(x, y)
-    except ValueError as exc:
-        raise _ConfigError([str(exc)])
+    u = smart_utility(ctx, miner)
     report = {
         "miner": miner.id,
         "x": x,
         "y": y,
-        "dominance": dom,
+        "dominance": dominance(x, y),
         "smart_utility": u,
         "smart_roi": roi(u, miner),
-        "epoch_table": table,
+        "epoch_table": epoch_table_smart(ctx, miner),
     }
     try:
         report["min_power_for_profit"] = min_power_for_profit(y)
@@ -205,10 +206,7 @@ def _cmd_optimize(args) -> int:
     coin, miners, _ = _load_scenario(args.config)
     miner = _find_miner(miners, args.miner)
     ctx = AggregateContext(M=total_power(miners), coin=coin)
-    try:
-        point = optimal_idle(ctx, miner)
-    except ValueError as exc:
-        raise _ConfigError([str(exc)])
+    point = optimal_idle(ctx, miner)
     _print_json({
         "miner": miner.id,
         "delta": point.delta,
@@ -222,7 +220,7 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_sweep(args) -> int:
     if args.nx < 2 or args.ny < 2:
-        raise _ConfigError(["--nx and --ny must be >= 2"])
+        raise ConfigurationError("--nx and --ny must be >= 2")
     # cell centers keep every grid point strictly inside (0, 1)
     xs = [(j + 0.5) / args.nx for j in range(args.nx)]
     ys = [(i + 0.5) / args.ny for i in range(args.ny)]
@@ -246,7 +244,7 @@ def _cmd_security(args) -> int:
     }
     if args.entrant is not None:
         if len(schedules) != 1:
-            raise _ConfigError(["--entrant requires exactly one schedule (the deviating miner)"])
+            raise ConfigurationError("--entrant requires exactly one schedule (the deviating miner)")
         eff = entry_effect(coin, miners, schedules[0], args.entrant)
         doc["entry_effect"] = {
             "entrant_power": args.entrant,
@@ -262,8 +260,15 @@ def _cmd_security(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as a ConfigurationError instead of usage text."""
+
+    def error(self, message):
+        raise ConfigurationError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="smartmining",
         description="Deterministic epoch simulator and closed-form analyzer of "
                     "mining economics under difficulty retargeting.")
@@ -302,21 +307,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.handler(args)
-    except _ConfigError as exc:
-        print(json.dumps(exc.errors), file=sys.stderr)
-        return EXIT_CONFIG
-    except ConfigurationError as exc:
-        print(json.dumps([str(exc)]), file=sys.stderr)
-        return EXIT_CONFIG
     except StalledEpochError as exc:
         print(json.dumps({"error": "stalled epoch", "epoch": exc.epoch}), file=sys.stderr)
         return EXIT_MODEL
     except OSError as exc:
         print(json.dumps([f"I/O error: {exc}"]), file=sys.stderr)
         return EXIT_IO
+    except (ValueError, ArithmeticError) as exc:
+        print(json.dumps(getattr(exc, "errors", [str(exc)])), file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

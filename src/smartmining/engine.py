@@ -41,7 +41,7 @@ def step_epoch(k: int, H: float, active, coin, miners) -> tuple[EpochRecord, flo
     powers = []
     for p in miners:
         mhat = active.get(p.id, p.m)
-        if mhat < 0 or mhat > p.m:
+        if not 0 <= mhat <= p.m:
             raise ValueError(f"active power {mhat} outside [0, {p.m}] for miner '{p.id}'")
         powers.append(mhat)
     A = sum(powers)
@@ -63,7 +63,7 @@ def step_epoch(k: int, H: float, active, coin, miners) -> tuple[EpochRecord, flo
 def _check_scenario(coin, miners, schedules) -> None:
     errors = validate_scenario(coin, miners, schedules)
     if errors:
-        raise ConfigurationError("; ".join(errors))
+        raise ConfigurationError(*errors)
 
 
 def _simulate(coin, miners, schedules, horizon: int) -> list[EpochRecord]:

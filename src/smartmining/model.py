@@ -13,7 +13,11 @@ from dataclasses import dataclass
 
 
 class ConfigurationError(ValueError):
-    """A scenario is structurally invalid (bad ids, bounds, or wiring)."""
+    """A scenario is structurally invalid; ``errors`` lists every problem found."""
+
+    def __init__(self, *errors: str):
+        super().__init__("; ".join(errors))
+        self.errors = list(errors)
 
 
 class StalledEpochError(RuntimeError):
@@ -50,9 +54,9 @@ class MinerParams:
 
     def __post_init__(self):
         _require(isinstance(self.id, str) and self.id != "", "miner id must be a non-empty string")
-        _require(_finite(self.m) and self.m > 0, f"hash power must be finite and > 0, got {self.m}")
-        _require(_finite(self.fc) and self.fc >= 0, f"fixed cost must be finite and >= 0, got {self.fc}")
-        _require(_finite(self.vc) and self.vc >= 0, f"variable cost must be finite and >= 0, got {self.vc}")
+        _require(_finite(self.m) and self.m > 0, f"hash power must be finite and > 0, got {self.m!r}")
+        _require(_finite(self.fc) and self.fc >= 0, f"fixed cost must be finite and >= 0, got {self.fc!r}")
+        _require(_finite(self.vc) and self.vc >= 0, f"variable cost must be finite and >= 0, got {self.vc!r}")
         _require(self.cost_rate > 0, f"miner '{self.id}' has zero total cost rate, which is degenerate")
 
     @property
@@ -77,13 +81,13 @@ class CoinParams:
     clamp: float | None = None
 
     def __post_init__(self):
-        _require(_finite(self.tau) and self.tau > 0, f"tau must be finite and > 0, got {self.tau}")
+        _require(_finite(self.tau) and self.tau > 0, f"tau must be finite and > 0, got {self.tau!r}")
         _require(_finite(self.epsilon) and self.epsilon >= 0,
-                 f"epsilon must be finite and >= 0, got {self.epsilon}")
-        _require(_finite(self.w) and self.w > 0, f"epoch reward must be finite and > 0, got {self.w}")
+                 f"epsilon must be finite and >= 0, got {self.epsilon!r}")
+        _require(_finite(self.w) and self.w > 0, f"epoch reward must be finite and > 0, got {self.w!r}")
         if self.clamp is not None:
             _require(_finite(self.clamp) and self.clamp > 1,
-                     f"clamp must be a finite ratio > 1, got {self.clamp}")
+                     f"clamp must be a finite ratio > 1, got {self.clamp!r}")
 
 
 @dataclass(frozen=True)
@@ -100,14 +104,15 @@ class StrategySchedule:
     offset: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "powers", tuple(float(p) for p in self.powers))
+        powers = tuple(self.powers)
+        for p in powers:
+            _require(_finite(p) and p >= 0, f"schedule powers must be finite and >= 0, got {p!r}")
+        object.__setattr__(self, "powers", tuple(float(p) for p in powers))
         _require(isinstance(self.miner_id, str) and self.miner_id != "",
                  "schedule miner_id must be a non-empty string")
         _require(len(self.powers) >= 1, "schedule needs at least one epoch entry")
-        for p in self.powers:
-            _require(_finite(p) and p >= 0, f"schedule powers must be finite and >= 0, got {p}")
         _require(isinstance(self.offset, int) and not isinstance(self.offset, bool) and self.offset >= 0,
-                 f"offset must be an integer >= 0, got {self.offset}")
+                 f"offset must be an integer >= 0, got {self.offset!r}")
 
     @property
     def period(self) -> int:
@@ -172,8 +177,8 @@ def calibrate_reward(miners, tau: float, epsilon: float) -> float:
     """
     if not miners:
         raise ConfigurationError("cannot calibrate a reward for an empty miner set")
-    _require(_finite(tau) and tau > 0, f"tau must be finite and > 0, got {tau}")
-    _require(_finite(epsilon) and epsilon >= 0, f"epsilon must be finite and >= 0, got {epsilon}")
+    _require(_finite(tau) and tau > 0, f"tau must be finite and > 0, got {tau!r}")
+    _require(_finite(epsilon) and epsilon >= 0, f"epsilon must be finite and >= 0, got {epsilon!r}")
     return tau * sum(p.cost_rate + epsilon for p in miners)
 
 

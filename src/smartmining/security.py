@@ -15,6 +15,8 @@ from typing import NamedTuple
 from .engine import periodic_utility, steady_cycle, trace_utilities
 from .model import MinerParams, StrategySchedule, total_power
 
+_ENTRANT_ID = "entrant"
+
 
 @dataclass(frozen=True)
 class AttackReport:
@@ -80,8 +82,7 @@ def bystander_gain(coin, miners, attacker_schedule: StrategySchedule, honest_id:
     return BystanderGain(utility=u, gain=u - coin.epsilon)
 
 
-def entry_effect(coin, miners, attacker_schedule: StrategySchedule, entrant_power: float,
-                 entrant_id: str = "entrant") -> EntryEffect:
+def entry_effect(coin, miners, attacker_schedule: StrategySchedule, entrant_power: float) -> EntryEffect:
     """Reduced-epoch revenue per hash before and after ``entrant_power``
     joins only the high-revenue cycle positions.
 
@@ -102,8 +103,8 @@ def entry_effect(coin, miners, attacker_schedule: StrategySchedule, entrant_powe
     if entrant_power == 0:
         after = before
     else:
-        entrant = MinerParams(entrant_id, m=entrant_power, fc=0.0, vc=1.0)
-        joined = StrategySchedule(entrant_id, tuple(entrant_power if r == rphs[hre] else 0.0 for r in rphs))
+        entrant = MinerParams(_ENTRANT_ID, m=entrant_power, fc=0.0, vc=1.0)
+        joined = StrategySchedule(_ENTRANT_ID, tuple(entrant_power if r == rphs[hre] else 0.0 for r in rphs))
         after = steady_cycle(coin, list(miners) + [entrant], [attacker_schedule, joined])
     return EntryEffect(
         rph_lre_before=before[lre].rph,

@@ -58,6 +58,11 @@ class TestSmartUtility:
         with pytest.raises(ValueError):
             smart_utility(AggregateContext(M=0.5, coin=coin), miner)
 
+    @pytest.mark.parametrize("M", [True, False, 0.0, -1.0, float("nan"), float("inf"), "1.0"])
+    def test_total_power_domain_errors(self, M):
+        with pytest.raises(ValueError):
+            AggregateContext(M=M, coin=CoinParams(tau=1.0, epsilon=0.0, w=5.0))
+
     def test_engine_cross_check(self):
         coin, miners = proportional_scenario(0.2, 0.15)
         deviator = miners[0]
@@ -172,6 +177,11 @@ class TestMinPowerForProfit:
             min_power_for_profit(0.25)
         with pytest.raises(ValueError):
             min_power_for_profit(0.3)
+
+    @pytest.mark.parametrize("y", [False, True, -0.1, float("nan"), float("inf"), "0.1"])
+    def test_domain_errors(self, y):
+        with pytest.raises(ValueError):
+            min_power_for_profit(y)
 
     def test_root_property_across_grid(self):
         for y in np.linspace(0.0, 0.2499, 40):

@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smartmining.cli import main
 
@@ -23,6 +29,36 @@ HONEST_CONFIG = {
         {"id": "c", "m": 20.0, "fc": 0.05, "vc": 0.0075},
     ],
 }
+
+
+# every miner and tau at 1e-200: M*tau underflows to 0
+TINY_CONFIG = {
+    "coin": {"tau": 1e-200},
+    "miners": [
+        {"id": "attacker", "m": 1e-200, "fc": 0.03, "vc": 0.0085},
+        {"id": "rest", "m": 1e-200, "fc": 0.0, "vc": 0.01},
+    ],
+}
+
+
+_MISSING = object()
+
+
+def _patched(path, value):
+    """A copy of SMART_CONFIG with the field at ``path`` set to ``value``, or
+    removed for _MISSING; an empty path stands for the whole document."""
+    if not path:
+        return {} if value is _MISSING else value
+    doc = json.loads(json.dumps(SMART_CONFIG))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    if value is _MISSING:
+        with contextlib.suppress(KeyError):
+            del target[path[-1]]
+    else:
+        target[path[-1]] = value
+    return doc
 
 
 def _write_config(tmp_path, doc, name="config.json"):
@@ -292,3 +328,125 @@ class TestClampedSimulation:
         workloads = [float(r[1]) for r in rows]
         for prev, cur in zip(workloads, workloads[1:]):
             assert 1 / 1.1 - 1e-12 <= cur / prev <= 1.1 + 1e-12
+
+
+# (config document or raw bytes, or None for no config; argv after the config
+# path; a fragment one of the error messages must contain)
+BAD_INPUTS = {
+    "miners-not-a-list": (_patched(["miners"], 5), ["security"], "'miners' must be a list of JSON objects"),
+    "huge-integer-power": (_patched(["miners", 0, "m"], 10 ** 400), ["security"], "int too large"),
+    "negative-entrant": (SMART_CONFIG, ["security", "--entrant", "-5"], "entrant power must be >= 0"),
+    "nan-entrant": (SMART_CONFIG, ["security", "--entrant", "nan"], "got nan"),
+    "non-utf8-config": (b"\xff\xfe{}", ["security"], "config is not valid JSON"),
+    "underflow-analyze": (TINY_CONFIG, ["analyze", "--miner", "attacker"], "division by zero"),
+    "underflow-optimize": (TINY_CONFIG, ["optimize", "--miner", "attacker"], "division by zero"),
+    "underflow-security": (TINY_CONFIG, ["security"], "epoch workload must be > 0"),
+    "bool-tau": (_patched(["coin", "tau"], True), ["security"], "tau must be finite and > 0, got True"),
+    "fractional-offset": (_patched(["schedules", 0, "offset"], 1.7), ["security"],
+                          "offset must be an integer >= 0, got 1.7"),
+    "string-powers": (_patched(["schedules", 0, "powers"], "20"), ["security"], "powers must be a list, got '20'"),
+    "bool-power": (_patched(["schedules", 0, "powers"], [True, 20]), ["security"],
+                   "schedule powers must be finite and >= 0, got True"),
+    "string-power-share": (_patched(["miners", 0, "m"], "20"), ["security"],
+                           "hash power must be finite and > 0, got '20'"),
+    "integer-id": (_patched(["miners", 1, "id"], 7), ["security"], "miner id must be a non-empty string"),
+    "schedules-object": (_patched(["schedules"], {"miner_id": "attacker", "powers": [0.0, 20.0]}), ["security"],
+                         "'schedules' must be a list of JSON objects"),
+    "miners-of-strings": (_patched(["miners"], ["abc"]), ["security"], "'miners' must be a list of JSON objects"),
+    "non-integer-epochs": (SMART_CONFIG, ["simulate", "--epochs", "abc", "--out", "out"],
+                           "invalid int value: 'abc'"),
+    "unknown-mode": (None, ["sweep", "--mode", "bogus", "--nx", "2", "--ny", "2", "--out", "s.csv"],
+                     "invalid choice: 'bogus'"),
+}
+
+
+class TestInputBoundary:
+    @pytest.mark.parametrize("name", list(BAD_INPUTS))
+    def test_bad_input_exits_2_with_json_list(self, tmp_path, capsys, name):
+        doc, argv, fragment = BAD_INPUTS[name]
+        argv = [a if a not in ("out", "s.csv") else str(tmp_path / a) for a in argv]
+        if doc is not None:
+            path = tmp_path / "config.json"
+            path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode("utf-8"))
+            argv.insert(1, str(path))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        errors = json.loads(captured.err)
+        assert isinstance(errors, list) and all(isinstance(e, str) for e in errors)
+        assert any(fragment in e for e in errors), errors
+
+    def test_integer_literals_match_floats_byte_for_byte(self, tmp_path, capsys):
+        ints = json.loads(json.dumps(SMART_CONFIG))
+        ints["coin"] = {"tau": 600, "epsilon": 0}
+        ints["miners"][0]["m"] = 20
+        ints["miners"][1].update(m=80, fc=0)
+        ints["schedules"][0]["powers"] = [0, 20]
+        outputs = []
+        for name, doc in (("floats", SMART_CONFIG), ("ints", ints)):
+            cfg = _write_config(tmp_path, doc, name=f"{name}.json")
+            out = tmp_path / name
+            assert main(["simulate", cfg, "--epochs", "6", "--out", str(out)]) == 0
+            assert main(["security", cfg, "--entrant", "10"]) == 0
+            outputs.append(((out / "trace.csv").read_bytes(), (out / "summary.json").read_bytes(),
+                            capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+
+    def test_help_and_version_exit_0(self, capsys):
+        for argv in (["--help"], ["--version"], ["security", "--help"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+        capsys.readouterr()
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=8,
+)
+# every field of SMART_CONFIG, plus the document itself
+_FIELDS = [(), ("coin",), ("coin", "tau"), ("coin", "epsilon"), ("coin", "clamp"), ("reward",),
+           ("miners",), ("miners", 0), ("miners", 0, "id"), ("miners", 0, "m"), ("miners", 0, "fc"),
+           ("miners", 0, "vc"), ("miners", 1, "m"), ("schedules",), ("schedules", 0),
+           ("schedules", 0, "miner_id"), ("schedules", 0, "powers"), ("schedules", 0, "powers", 1),
+           ("schedules", 0, "offset")]
+# no token here may abbreviate --help
+_TOKENS = st.sampled_from(["0", "1", "20", "-5", "nan", "inf", "1e400", "abc", "", "attacker", "rest",
+                           "--entrant", "--miner", "--bogus", "-x"])
+
+
+@st.composite
+def _invocations(draw):
+    doc = draw(st.just(SMART_CONFIG) | st.builds(_patched, st.sampled_from(_FIELDS), _JSON | st.just(_MISSING)))
+    command = draw(st.sampled_from(["analyze", "optimize", "security", "simulate"]))
+    if command in ("analyze", "optimize"):
+        flags = ["--miner", draw(st.sampled_from(["attacker", "rest", "ghost"]) | _TOKENS)]
+    elif command == "security":
+        flags = draw(st.just([]) | st.tuples(st.just("--entrant"), _TOKENS).map(list))
+    else:
+        epochs = draw(st.integers(-2, 20).map(str) | _TOKENS)
+        flags = ["--epochs", epochs]
+    return doc, command, flags + draw(st.just([]) | st.lists(_TOKENS, min_size=1, max_size=2))
+
+
+class TestCliContract:
+    @settings(max_examples=300, deadline=None)
+    @given(_invocations())
+    def test_exit_code_and_stderr_contract(self, invocation):
+        doc, command, flags = invocation
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = os.path.join(tmp, "config.json")
+            with open(cfg, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            argv = [command, cfg] + flags
+            if command == "simulate":
+                argv += ["--out", os.path.join(tmp, "out")]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in out.getvalue() + err.getvalue()
+        if code != 0:
+            json.loads(err.getvalue())

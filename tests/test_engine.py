@@ -60,6 +60,10 @@ class TestStepEpoch:
         with pytest.raises(ValueError):
             step_epoch(1, 60000.0, {"a": 61.0}, _coin(), _two_miners())
 
+    def test_nan_active_power_rejected(self):
+        with pytest.raises(ValueError, match="active power nan outside"):
+            step_epoch(1, 60000.0, {"a": float("nan")}, _coin(), _two_miners())
+
 
 class TestRun:
     def test_honest_equilibrium_each_epoch(self):

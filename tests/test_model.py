@@ -66,6 +66,9 @@ class TestStrategySchedule:
         ((), 0),
         ((-1.0,), 0),
         ((1.0,), -1),
+        ((True, 1.0), 0),  # checked before conversion, so bools and strings never become floats
+        (("1.0",), 0),
+        ((1.0,), 1.7),
     ])
     def test_invalid(self, powers, offset):
         with pytest.raises(ValueError):
