@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CoinParams, MinerParams, _finite
+from .model import CoinParams, MinerParams, _finite, _workload_error
 
 MODE_SMART = "smart"
 MODE_SMARTER = "smarter"
@@ -37,6 +37,8 @@ class AggregateContext:
     def __post_init__(self):
         if not (_finite(self.M) and self.M > 0):
             raise ValueError(f"total hash power must be finite and > 0, got {self.M}")
+        if error := _workload_error(self.M, self.coin.tau):
+            raise ValueError(error)
 
 
 @dataclass(frozen=True)

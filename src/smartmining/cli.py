@@ -70,7 +70,8 @@ def _load_scenario(path):
 
     Values reach the model types uncoerced, except that JSON numbers become
     floats.  Collects every problem it can find before failing so the error
-    list is actionable in one pass.
+    list is actionable in one pass, and reports each fault once: the checks
+    across sections run only on a miner section that parsed in full.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -92,6 +93,9 @@ def _load_scenario(path):
             errors.append(f"miners[{i}]: missing field {exc}")
         except (ValueError, ArithmeticError) as exc:
             errors.append(f"miners[{i}]: {exc}")
+    # a faulty miner section leaves the miner set incomplete, and checks
+    # against an incomplete set would only repeat that fault
+    miners_complete = not errors
 
     schedules = []
     for i, entry in enumerate(_objects(doc, "schedules", errors)):
@@ -115,14 +119,20 @@ def _load_scenario(path):
             tau = _number(coin_doc["tau"])
             epsilon = _number(coin_doc.get("epsilon", 0.0))
             reward = doc.get("reward", "calibrated")
-            w = calibrate_reward(miners, tau, epsilon) if reward == "calibrated" else _number(reward)
+            if reward != "calibrated":
+                w = _number(reward)
+            else:
+                # with no miner to calibrate against (reported on its own), a
+                # stand-in reward still lets tau, epsilon and clamp be checked
+                w = calibrate_reward(miners, tau, epsilon) if miners else 1.0
             coin = CoinParams(tau=tau, epsilon=epsilon, w=w, clamp=_number(coin_doc.get("clamp")))
         except KeyError as exc:
             errors.append(f"coin: missing field {exc}")
         except (ValueError, ArithmeticError) as exc:
             errors.append(f"coin: {exc}")
 
-    errors.extend(validate_scenario(coin, miners, schedules))
+    if miners_complete:
+        errors.extend(validate_scenario(coin, miners, schedules))
     if errors:
         raise ConfigurationError(*errors)
     return coin, miners, schedules
@@ -145,16 +155,14 @@ def _write_text(path, text) -> None:
 
 
 def _write_trace_csv(path, trace, miners) -> None:
-    cols = ["k", "H", "t", "rph"]
-    for p in miners:
-        cols += [f"{p.id}_mhat", f"{p.id}_R", f"{p.id}_C", f"{p.id}_P"]
-    lines = [",".join(cols)]
-    for rec in trace.records:
-        cells = [str(rec.k), repr(rec.H), repr(rec.t), repr(rec.rph)]
-        for s in rec.per_miner:
-            cells += [repr(s.active_power), repr(s.revenue_rate), repr(s.cost_rate), repr(s.profit_rate)]
-        lines.append(",".join(cells))
-    _write_text(path, "\n".join(lines) + "\n")
+    cols = ["k", "H", "t", "rph"] + [f"{p.id}_{c}" for p in miners for c in ("mhat", "R", "C", "P")]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(cols) + "\n")
+        for rec in trace.records:
+            cells = [str(rec.k), repr(rec.H), repr(rec.t), repr(rec.rph)]
+            for stats in rec.per_miner:
+                cells.extend(map(repr, stats[1:]))
+            fh.write(",".join(cells) + "\n")
 
 
 def _cmd_simulate(args) -> int:

@@ -10,6 +10,7 @@ reproduce bit-identical traces.
 from __future__ import annotations
 
 import math
+from itertools import islice
 
 from .model import (
     ConfigurationError,
@@ -38,26 +39,21 @@ def step_epoch(k: int, H: float, active, coin, miners) -> tuple[EpochRecord, flo
     """
     if H <= 0:
         raise ValueError(f"epoch workload must be > 0, got {H}")
-    powers = []
-    for p in miners:
-        mhat = active.get(p.id, p.m)
+    powers = [active.get(p.id, p.m) for p in miners]
+    for p, mhat in zip(miners, powers):
         if not 0 <= mhat <= p.m:
             raise ValueError(f"active power {mhat} outside [0, {p.m}] for miner '{p.id}'")
-        powers.append(mhat)
     A = sum(powers)
     if A <= 0:
         raise StalledEpochError(k)
     t = H / A
     rph = coin.w / H
-    per = []
-    for p, mhat in zip(miners, powers):
-        revenue = rph * mhat
-        cost = p.fc + p.vc * mhat
-        per.append(MinerEpochStats(p.id, mhat, revenue, cost, revenue - cost))
+    per = tuple([MinerEpochStats(p.id, mhat, (revenue := rph * mhat), (cost := p.fc + p.vc * mhat),
+                                 revenue - cost) for p, mhat in zip(miners, powers)])
     H_next = A * coin.tau
     if coin.clamp is not None:
         H_next = min(max(H_next, H / coin.clamp), H * coin.clamp)
-    return EpochRecord(k, H, t, rph, tuple(per)), H_next
+    return EpochRecord(k, H, t, rph, per), H_next
 
 
 def _check_scenario(coin, miners, schedules) -> None:
@@ -66,15 +62,16 @@ def _check_scenario(coin, miners, schedules) -> None:
         raise ConfigurationError(*errors)
 
 
-def _simulate(coin, miners, schedules, horizon: int) -> list[EpochRecord]:
-    by_id = {s.miner_id: s for s in schedules}
+def _simulate(coin, miners, schedules, horizon: int):
+    """Yield the records of epochs 1..horizon from the calibrated start H_1 = M*tau.
+
+    The active map holds the scheduled miners only; ``step_epoch`` runs every
+    other miner at full capacity.
+    """
     H = total_power(miners) * coin.tau
-    records = []
     for k in range(1, horizon + 1):
-        active = {p.id: (by_id[p.id].power_at(k) if p.id in by_id else p.m) for p in miners}
-        record, H = step_epoch(k, H, active, coin, miners)
-        records.append(record)
-    return records
+        record, H = step_epoch(k, H, {s.miner_id: s.power_at(k) for s in schedules}, coin, miners)
+        yield record
 
 
 def trace_utilities(records) -> dict[str, float]:
@@ -98,8 +95,8 @@ def run(coin, miners, schedules, horizon: int) -> SimulationTrace:
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     _check_scenario(coin, miners, schedules)
-    records = _simulate(coin, miners, schedules, horizon)
-    return SimulationTrace(tuple(records), trace_utilities(records), horizon)
+    records = tuple(_simulate(coin, miners, schedules, horizon))
+    return SimulationTrace(records, trace_utilities(records), horizon)
 
 
 def steady_cycle(coin, miners, schedules) -> list[EpochRecord]:
@@ -109,7 +106,8 @@ def steady_cycle(coin, miners, schedules) -> list[EpochRecord]:
     warm-up, because H_{k+1} = A_k * tau depends on the schedule alone.  This
     simulates one warm-up period plus two more over the common period (lcm of
     all schedule periods), verifies the two post-warm-up periods agree on
-    (H, t), and returns the final period's records.
+    (H, t), and returns the final period's records.  Only that period's
+    records are kept; of the period before it, only (k, H, t).
 
     Clamped coins are refused: the clamp can stretch transients arbitrarily,
     so finite-horizon ``run`` is the right tool there.
@@ -118,11 +116,14 @@ def steady_cycle(coin, miners, schedules) -> list[EpochRecord]:
         raise ConfigurationError("steady-state analysis requires an unclamped coin; use run() instead")
     _check_scenario(coin, miners, schedules)
     p = math.lcm(*(s.period for s in schedules)) if schedules else 1
-    records = _simulate(coin, miners, schedules, 3 * p)
-    for a, b in zip(records[p:2 * p], records[2 * p:]):
-        if abs(a.H - b.H) > _CYCLE_RTOL * abs(b.H) or abs(a.t - b.t) > _CYCLE_RTOL * abs(b.t):
-            raise RuntimeError(f"no steady state after one warm-up period (epoch {a.k} vs {b.k})")
-    return records[2 * p:]
+    epochs = _simulate(coin, miners, schedules, 3 * p)
+    next(islice(epochs, p, p), None)   # consume the warm-up period
+    second = [(rec.k, rec.H, rec.t) for rec in islice(epochs, p)]
+    cycle = list(epochs)
+    for (k, H, t), b in zip(second, cycle):
+        if abs(H - b.H) > _CYCLE_RTOL * abs(b.H) or abs(t - b.t) > _CYCLE_RTOL * abs(b.t):
+            raise RuntimeError(f"no steady state after one warm-up period (epoch {k} vs {b.k})")
+    return cycle
 
 
 def periodic_utility(coin, miners, schedules) -> dict[str, float]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class ConfigurationError(ValueError):
@@ -34,7 +35,19 @@ def _require(cond: bool, msg: str) -> None:
 
 
 def _finite(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    if not isinstance(x, (int, float)) or isinstance(x, bool):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:   # an int beyond float range
+        return False
+
+
+def _workload_error(M: float, tau: float) -> str | None:
+    """Why the first epoch workload M*tau is unusable, or None when it is finite and > 0."""
+    if 0 < M * tau < math.inf:
+        return None
+    return f"M*tau = {M!r}*{tau!r} underflows or overflows: the epoch workload must be > 0 and finite"
 
 
 @dataclass(frozen=True)
@@ -123,8 +136,7 @@ class StrategySchedule:
         return self.powers[(self.offset + k - 1) % len(self.powers)]
 
 
-@dataclass(frozen=True)
-class MinerEpochStats:
+class MinerEpochStats(NamedTuple):
     """Realized per-miner rates within one epoch."""
 
     miner_id: str
@@ -185,9 +197,9 @@ def calibrate_reward(miners, tau: float, epsilon: float) -> float:
 def validate_scenario(coin, miners, schedules=()) -> list[str]:
     """All structural violations in a scenario; an empty list means valid.
 
-    Checks id uniqueness, schedule wiring, and schedule powers against each
-    miner's capacity.  Field-level invariants are enforced at construction of
-    the individual types.
+    Checks id uniqueness, schedule wiring, schedule powers against each
+    miner's capacity, and the first epoch workload M*tau.  Field-level
+    invariants are enforced at construction of the individual types.
     """
     errors: list[str] = []
     if not miners:
@@ -212,4 +224,6 @@ def validate_scenario(coin, miners, schedules=()) -> list[str]:
             if power > owner.m:
                 errors.append(
                     f"schedule power {power} exceeds capacity {owner.m} of miner '{s.miner_id}' (entry {j})")
+    if coin is not None and miners and (error := _workload_error(total_power(miners), coin.tau)):
+        errors.append(error)
     return errors

@@ -63,6 +63,11 @@ class TestSmartUtility:
         with pytest.raises(ValueError):
             AggregateContext(M=M, coin=CoinParams(tau=1.0, epsilon=0.0, w=5.0))
 
+    @pytest.mark.parametrize("M,tau", [(1e-200, 1e-200), (1e300, 1e10)])
+    def test_first_workload_domain_errors(self, M, tau):
+        with pytest.raises(ValueError, match=r"M\*tau = .* underflows or overflows"):
+            AggregateContext(M=M, coin=CoinParams(tau=tau, epsilon=0.0, w=5.0))
+
     def test_engine_cross_check(self):
         coin, miners = proportional_scenario(0.2, 0.15)
         deviator = miners[0]

@@ -118,6 +118,25 @@ class TestSimulate:
                 assert float(row[base + 2]) == s.cost_rate
                 assert float(row[base + 3]) == s.profit_rate
 
+    def test_trace_csv_bytes_match_whole_file_join(self, tmp_path):
+        from smartmining import run
+        from smartmining.cli import _load_scenario
+
+        doc = json.loads(json.dumps(HONEST_CONFIG))
+        doc["coin"]["clamp"] = 1.2
+        doc["schedules"] = [{"miner_id": "a", "powers": [10.0, 50.0, 35.5]}, {"miner_id": "c", "powers": [0.0, 20.0]}]
+        cfg = _write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["simulate", cfg, "--epochs", "40", "--out", str(out)]) == 0
+        coin, miners, schedules = _load_scenario(cfg)
+        lines = [",".join(["k", "H", "t", "rph"] + [f"{p.id}_{c}" for p in miners for c in ("mhat", "R", "C", "P")])]
+        for rec in run(coin, miners, schedules, 40).records:
+            cells = [str(rec.k), repr(rec.H), repr(rec.t), repr(rec.rph)]
+            for s in rec.per_miner:
+                cells += [repr(s.active_power), repr(s.revenue_rate), repr(s.cost_rate), repr(s.profit_rate)]
+            lines.append(",".join(cells))
+        assert (out / "trace.csv").read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
     def test_duplicate_miner_id_exits_2(self, tmp_path, capsys):
         doc = json.loads(json.dumps(HONEST_CONFIG))
         doc["miners"].append(dict(doc["miners"][0]))
@@ -338,8 +357,8 @@ BAD_INPUTS = {
     "negative-entrant": (SMART_CONFIG, ["security", "--entrant", "-5"], "entrant power must be >= 0"),
     "nan-entrant": (SMART_CONFIG, ["security", "--entrant", "nan"], "got nan"),
     "non-utf8-config": (b"\xff\xfe{}", ["security"], "config is not valid JSON"),
-    "underflow-analyze": (TINY_CONFIG, ["analyze", "--miner", "attacker"], "division by zero"),
-    "underflow-optimize": (TINY_CONFIG, ["optimize", "--miner", "attacker"], "division by zero"),
+    "underflow-analyze": (TINY_CONFIG, ["analyze", "--miner", "attacker"], "M*tau = 2e-200*1e-200 underflows"),
+    "underflow-optimize": (TINY_CONFIG, ["optimize", "--miner", "attacker"], "M*tau = 2e-200*1e-200 underflows"),
     "underflow-security": (TINY_CONFIG, ["security"], "epoch workload must be > 0"),
     "bool-tau": (_patched(["coin", "tau"], True), ["security"], "tau must be finite and > 0, got True"),
     "fractional-offset": (_patched(["schedules", 0, "offset"], 1.7), ["security"],
@@ -392,6 +411,28 @@ class TestInputBoundary:
             outputs.append(((out / "trace.csv").read_bytes(), (out / "summary.json").read_bytes(),
                             capsys.readouterr().out))
         assert outputs[0] == outputs[1]
+
+    def test_first_workload_underflow_names_tau(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, TINY_CONFIG)
+        assert main(["analyze", cfg, "--miner", "attacker"]) == 2
+        errors = json.loads(capsys.readouterr().err)
+        assert len(errors) == 1 and "tau" in errors[0], errors
+
+    @pytest.mark.parametrize("doc,expected", [
+        (_patched(["miners"], 5), ["'miners' must be a list of JSON objects"]),
+        (dict(_patched(["miners"], 5), coin={"tau": -1.0}),
+         ["'miners' must be a list of JSON objects", "coin: tau must be finite and > 0, got -1.0"]),
+        (_patched(["miners", 0, "m"], -1.0), ["miners[0]: hash power must be finite and > 0, got -1.0"]),
+        (dict(_patched(["miners", 0, "m"], -1.0),
+              schedules=[{"miner_id": "attacker", "powers": [0.0, 20.0]}, {"miner_id": "rest", "powers": [-1.0]}]),
+         ["miners[0]: hash power must be finite and > 0, got -1.0",
+          "schedules[1]: schedule powers must be finite and >= 0, got -1.0"]),
+        (dict(SMART_CONFIG, miners=[], schedules=[]), ["no miners defined"]),
+    ])
+    def test_one_fault_one_message(self, tmp_path, capsys, doc, expected):
+        cfg = _write_config(tmp_path, doc)
+        assert main(["security", cfg]) == 2
+        assert json.loads(capsys.readouterr().err) == expected
 
     def test_help_and_version_exit_0(self, capsys):
         for argv in (["--help"], ["--version"], ["security", "--help"]):

@@ -239,3 +239,56 @@ class TestClamp:
         free = run(_coin(), miners, sched, 10)
         clamped = run(_coin(clamp=1.1), miners, sched, 10)
         assert free.records[1].H != clamped.records[1].H
+
+
+def _three_period_scenario():
+    # deviators with periods 2, 3 and 5 (common period 30) plus an always-on miner
+    miners = [MinerParams("a", 30.0, 0.1, 0.006), MinerParams("b", 25.0, 0.05, 0.008),
+              MinerParams("c", 20.0, 0.0, 0.01), MinerParams("d", 25.0, 0.2, 0.002)]
+    schedules = [StrategySchedule("a", (0.0, 30.0)),
+                 StrategySchedule("b", (25.0, 7.5, 20.0), offset=1),
+                 StrategySchedule("c", (20.0, 20.0, 3.0, 20.0, 11.0), offset=4)]
+    return CoinParams(tau=600.0, epsilon=0.001, w=700.0), miners, schedules
+
+
+def _bits(rec):
+    """Every field of a record, floats as their exact hex form."""
+    return (rec.k, rec.H.hex(), rec.t.hex(), rec.rph.hex(),
+            tuple((s.miner_id, s.active_power.hex(), s.revenue_rate.hex(), s.cost_rate.hex(), s.profit_rate.hex())
+                  for s in rec.per_miner))
+
+
+class TestStreamingSimulation:
+    def test_steady_cycle_is_the_last_period_of_run(self):
+        coin, miners, schedules = _three_period_scenario()
+        cycle = steady_cycle(coin, miners, schedules)
+        assert len(cycle) == 30
+        assert [_bits(r) for r in cycle] == [_bits(r) for r in run(coin, miners, schedules, 90).records[60:]]
+
+    def test_steady_cycle_matches_closed_form(self):
+        # unclamped, H_j = tau * A_{j-1}: one period of active powers fixes the cycle
+        coin, miners, schedules = _three_period_scenario()
+        cycle = steady_cycle(coin, miners, schedules)
+        by_id = {s.miner_id: s for s in schedules}
+        active = [[by_id[p.id].power_at(rec.k) if p.id in by_id else p.m for p in miners] for rec in cycle]
+        A = [sum(powers) for powers in active]
+        for j, rec in enumerate(cycle):
+            H = coin.tau * A[j - 1]
+            rph = coin.w / H
+            assert (rec.H, rec.t, rec.rph) == (H, H / A[j], rph)
+            for p, mhat, s in zip(miners, active[j], rec.per_miner):
+                revenue, cost = rph * mhat, p.fc + p.vc * mhat
+                assert (s.miner_id, s.active_power, s.revenue_rate, s.cost_rate, s.profit_rate) == (
+                    p.id, mhat, revenue, cost, revenue - cost)
+
+    @pytest.mark.parametrize("clamp", [None, 1.1])
+    def test_run_matches_hand_loop_with_full_active_map(self, clamp):
+        coin, miners, schedules = _three_period_scenario()
+        coin = CoinParams(tau=coin.tau, epsilon=coin.epsilon, w=coin.w, clamp=clamp)
+        by_id = {s.miner_id: s for s in schedules}
+        H, expected = sum(p.m for p in miners) * coin.tau, []
+        for k in range(1, 41):
+            active = {p.id: (by_id[p.id].power_at(k) if p.id in by_id else p.m) for p in miners}
+            rec, H = step_epoch(k, H, active, coin, miners)
+            expected.append(_bits(rec))
+        assert [_bits(r) for r in run(coin, miners, schedules, 40).records] == expected

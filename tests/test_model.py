@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from smartmining import (
     CoinParams,
     ConfigurationError,
+    MinerEpochStats,
     MinerParams,
     StrategySchedule,
     calibrate_reward,
@@ -34,6 +35,16 @@ class TestMinerParams:
         with pytest.raises(ValueError):
             MinerParams("", m=1.0, fc=0.1, vc=0.1)
 
+    @pytest.mark.parametrize("field", ["m", "fc", "vc"])
+    def test_int_beyond_float_range_is_a_value_error(self, field):
+        # math.isfinite would raise OverflowError, which is not a ValueError
+        kwargs = {"m": 10.0, "fc": 0.1, "vc": 0.1, field: 10 ** 400}
+        with pytest.raises(ValueError, match="must be finite"):
+            MinerParams("a", **kwargs)
+
+    def test_stats_fields(self):
+        assert MinerEpochStats._fields == ("miner_id", "active_power", "revenue_rate", "cost_rate", "profit_rate")
+
 
 class TestCoinParams:
     def test_valid(self):
@@ -49,6 +60,12 @@ class TestCoinParams:
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
+            CoinParams(**kwargs)
+
+    @pytest.mark.parametrize("field", ["tau", "epsilon", "w", "clamp"])
+    def test_int_beyond_float_range_is_a_value_error(self, field):
+        kwargs = {"tau": 600.0, "epsilon": 0.0, "w": 600.0, field: 10 ** 400}
+        with pytest.raises(ValueError, match="finite"):
             CoinParams(**kwargs)
 
 
@@ -73,6 +90,10 @@ class TestStrategySchedule:
     def test_invalid(self, powers, offset):
         with pytest.raises(ValueError):
             StrategySchedule("a", powers, offset=offset)
+
+    def test_int_beyond_float_range_is_a_value_error(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            StrategySchedule("a", (10 ** 400,))
 
 
 class TestCalibrateReward:
@@ -139,3 +160,17 @@ class TestValidateScenario:
 
     def test_no_miners(self):
         assert validate_scenario(self._coin(), []) == ["no miners defined"]
+
+    def test_first_workload_underflow(self):
+        coin = CoinParams(tau=1e-200, epsilon=0.0, w=1.0)
+        errors = validate_scenario(coin, [MinerParams("a", 1e-200, 0.1, 0.1)])
+        assert errors == ["M*tau = 1e-200*1e-200 underflows or overflows: the epoch workload must be > 0 and finite"]
+
+    def test_first_workload_overflow(self):
+        # each power is finite, but M*tau is not
+        miners = [MinerParams("a", 1e307, 0.1, 0.0), MinerParams("b", 1e307, 0.1, 0.0)]
+        errors = validate_scenario(self._coin(), miners)
+        assert len(errors) == 1 and "M*tau = 2e+307*600.0" in errors[0]
+
+    def test_first_workload_unchecked_without_coin(self):
+        assert validate_scenario(None, [MinerParams("a", 1e-200, 0.1, 0.1)]) == []
