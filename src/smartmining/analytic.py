@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,21 +38,16 @@ class AggregateContext:
     def __post_init__(self):
         if not (_finite(self.M) and self.M > 0):
             raise ValueError(f"total hash power must be finite and > 0, got {self.M}")
-        if error := _workload_error(self.M, self.coin.tau):
+        if error := _workload_error(self.M, self.coin):
             raise ValueError(error)
 
 
-@dataclass(frozen=True)
-class SmarterPoint:
+class SmarterPoint(NamedTuple):
     """A candidate idle power with its utility and return on cost."""
 
     delta: float
     utility: float
     roi: float
-
-    def __post_init__(self):
-        if self.delta < 0:
-            raise ValueError(f"idle power must be >= 0, got {self.delta}")
 
 
 def smart_utility(ctx: AggregateContext, miner: MinerParams) -> float:

@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from . import __version__
 from .analytic import (
@@ -145,8 +146,10 @@ def _find_miner(miners, miner_id):
     raise ConfigurationError(f"unknown miner '{miner_id}'")
 
 
-def _print_json(doc) -> None:
-    print(json.dumps(doc, indent=2))
+def _json(doc) -> str:
+    """``doc`` as indented JSON; a non-finite number raises ValueError instead
+    of writing a NaN or Infinity token, which JSON does not have."""
+    return json.dumps(doc, indent=2, allow_nan=False)
 
 
 def _write_text(path, text) -> None:
@@ -170,18 +173,17 @@ def _cmd_simulate(args) -> int:
         raise ConfigurationError("--epochs must be >= 1")
     coin, miners, schedules = _load_scenario(args.config)
     trace = run(coin, miners, schedules, args.epochs)
-    os.makedirs(args.out, exist_ok=True)
-    _write_trace_csv(os.path.join(args.out, "trace.csv"), trace, miners)
-    summary = {
+    summary = _json({
         "version": __version__,
         "epochs": args.epochs,
-        "coin": {"tau": coin.tau, "epsilon": coin.epsilon, "w": coin.w, "clamp": coin.clamp},
-        "miners": [{"id": p.id, "m": p.m, "fc": p.fc, "vc": p.vc} for p in miners],
-        "schedules": [{"miner_id": s.miner_id, "powers": list(s.powers), "offset": s.offset}
-                      for s in schedules],
-        "utilities": {p.id: trace.utilities[p.id] for p in miners},
-    }
-    _write_text(os.path.join(args.out, "summary.json"), json.dumps(summary, indent=2) + "\n")
+        "coin": asdict(coin),
+        "miners": [asdict(p) for p in miners],
+        "schedules": [asdict(s) for s in schedules],
+        "utilities": trace.utilities,
+    })
+    os.makedirs(args.out, exist_ok=True)
+    _write_trace_csv(os.path.join(args.out, "trace.csv"), trace, miners)
+    _write_text(os.path.join(args.out, "summary.json"), summary + "\n")
     return EXIT_OK
 
 
@@ -206,7 +208,7 @@ def _cmd_analyze(args) -> int:
     except ValueError:
         report["min_power_for_profit"] = None
         report["min_power_reason"] = "no power share suffices"
-    _print_json(report)
+    print(_json(report))
     return EXIT_OK
 
 
@@ -215,14 +217,14 @@ def _cmd_optimize(args) -> int:
     miner = _find_miner(miners, args.miner)
     ctx = AggregateContext(M=total_power(miners), coin=coin)
     point = optimal_idle(ctx, miner)
-    _print_json({
+    print(_json({
         "miner": miner.id,
         "delta": point.delta,
         "delta_fraction": point.delta / miner.m,
         "utility": point.utility,
         "roi": point.roi,
         "schedule": {"miner_id": miner.id, "powers": [miner.m - point.delta, miner.m], "offset": 0},
-    })
+    }))
     return EXIT_OK
 
 
@@ -243,17 +245,12 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_security(args) -> int:
     coin, miners, schedules = _load_scenario(args.config)
-    report = security_report(coin, miners, schedules)
-    doc = {
-        "lre_active_power": report.lre_active_power,
-        "idle_fraction": report.idle_fraction,
-        "attack_threshold": report.attack_threshold,
-        "per_miner_gain": {p.id: report.per_miner_gain[p.id] for p in miners},
-    }
-    if args.entrant is not None:
-        if len(schedules) != 1:
-            raise ConfigurationError("--entrant requires exactly one schedule (the deviating miner)")
-        eff = entry_effect(coin, miners, schedules[0], args.entrant)
+    if args.entrant is not None and len(schedules) != 1:
+        raise ConfigurationError("--entrant requires exactly one schedule (the deviating miner)")
+    # entry_effect checks the entrant power before it simulates anything
+    eff = None if args.entrant is None else entry_effect(coin, miners, schedules[0], args.entrant)
+    doc = security_report(coin, miners, schedules)._asdict()
+    if eff is not None:
         doc["entry_effect"] = {
             "entrant_power": args.entrant,
             "rph_lre_before": eff.rph_lre_before,
@@ -264,7 +261,7 @@ def _cmd_security(args) -> int:
             "lre_active_before": eff.lre_active_before,
             "lre_active_after": eff.lre_active_after,
         }
-    _print_json(doc)
+    print(_json(doc))
     return EXIT_OK
 
 

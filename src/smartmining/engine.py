@@ -35,8 +35,12 @@ def step_epoch(k: int, H: float, active, coin, miners) -> tuple[EpochRecord, flo
     [H/clamp, H*clamp] when the coin defines a clamp.
 
     Raises StalledEpochError when no power is active: the epoch would never
-    complete and the utility of the run is undefined.
+    complete and the utility of the run is undefined.  Raises ValueError for
+    k < 1, an active power outside [0, m], or a workload or a duration that
+    is not > 0 (a duration can underflow to 0 after a tiny retarget).
     """
+    if k < 1:
+        raise ValueError(f"epoch index must be >= 1, got {k}")
     if H <= 0:
         raise ValueError(f"epoch workload must be > 0, got {H}")
     powers = [active.get(p.id, p.m) for p in miners]
@@ -47,6 +51,8 @@ def step_epoch(k: int, H: float, active, coin, miners) -> tuple[EpochRecord, flo
     if A <= 0:
         raise StalledEpochError(k)
     t = H / A
+    if t <= 0:
+        raise ValueError(f"epoch duration must be > 0, got {t}")
     rph = coin.w / H
     per = tuple([MinerEpochStats(p.id, mhat, (revenue := rph * mhat), (cost := p.fc + p.vc * mhat),
                                  revenue - cost) for p, mhat in zip(miners, powers)])

@@ -43,11 +43,15 @@ def _finite(x) -> bool:
         return False
 
 
-def _workload_error(M: float, tau: float) -> str | None:
-    """Why the first epoch workload M*tau is unusable, or None when it is finite and > 0."""
-    if 0 < M * tau < math.inf:
-        return None
-    return f"M*tau = {M!r}*{tau!r} underflows or overflows: the epoch workload must be > 0 and finite"
+def _workload_error(M: float, coin) -> str | None:
+    """Why the first epoch workload M*tau or its baseline price w/(M*tau) is
+    unusable, or None when the workload is finite and > 0 and the price finite."""
+    H = M * coin.tau
+    if not 0 < H < math.inf:
+        return f"M*tau = {M!r}*{coin.tau!r} underflows or overflows: the epoch workload must be > 0 and finite"
+    if coin.w / H == math.inf:
+        return f"w/(M*tau) = {coin.w!r}/{H!r} overflows: the baseline price must be finite"
+    return None
 
 
 @dataclass(frozen=True)
@@ -56,8 +60,9 @@ class MinerParams:
     time unit, paid whether or not it mines) and a variable cost ``vc``
     (money per hash).
 
-    A miner with zero total cost rate is rejected: the supply-demand reward
-    calibration and all return-on-cost figures divide by the cost scale.
+    A miner whose total cost rate is zero or overflows is rejected: the
+    supply-demand reward calibration and all return-on-cost figures divide by
+    the cost scale.
     """
 
     id: str
@@ -70,7 +75,8 @@ class MinerParams:
         _require(_finite(self.m) and self.m > 0, f"hash power must be finite and > 0, got {self.m!r}")
         _require(_finite(self.fc) and self.fc >= 0, f"fixed cost must be finite and >= 0, got {self.fc!r}")
         _require(_finite(self.vc) and self.vc >= 0, f"variable cost must be finite and >= 0, got {self.vc!r}")
-        _require(self.cost_rate > 0, f"miner '{self.id}' has zero total cost rate, which is degenerate")
+        _require(0 < self.cost_rate < math.inf,
+                 f"miner '{self.id}' has total cost rate fc + vc*m = {self.cost_rate!r}; it must be finite and > 0")
 
     @property
     def cost_rate(self) -> float:
@@ -146,8 +152,7 @@ class MinerEpochStats(NamedTuple):
     profit_rate: float
 
 
-@dataclass(frozen=True)
-class EpochRecord:
+class EpochRecord(NamedTuple):
     """Realized state of one epoch: required hashes ``H``, duration ``t``,
     revenue per hash ``rph`` = w/H, and per-miner rates."""
 
@@ -157,19 +162,13 @@ class EpochRecord:
     rph: float
     per_miner: tuple[MinerEpochStats, ...]
 
-    def __post_init__(self):
-        _require(self.k >= 1, f"epoch index must be >= 1, got {self.k}")
-        _require(self.H > 0, f"epoch workload must be > 0, got {self.H}")
-        _require(self.t > 0, f"epoch duration must be > 0, got {self.t}")
-
     @property
     def total_active(self) -> float:
         """Total hash power active during this epoch."""
         return sum(s.active_power for s in self.per_miner)
 
 
-@dataclass(frozen=True)
-class SimulationTrace:
+class SimulationTrace(NamedTuple):
     """Epoch records over a finite horizon plus per-miner time-averaged
     profit rates (sum of profit*duration over sum of durations)."""
 
@@ -198,8 +197,8 @@ def validate_scenario(coin, miners, schedules=()) -> list[str]:
     """All structural violations in a scenario; an empty list means valid.
 
     Checks id uniqueness, schedule wiring, schedule powers against each
-    miner's capacity, and the first epoch workload M*tau.  Field-level
-    invariants are enforced at construction of the individual types.
+    miner's capacity, the first epoch workload M*tau and its price w/(M*tau).
+    Field-level invariants are enforced at construction of the individual types.
     """
     errors: list[str] = []
     if not miners:
@@ -224,6 +223,6 @@ def validate_scenario(coin, miners, schedules=()) -> list[str]:
             if power > owner.m:
                 errors.append(
                     f"schedule power {power} exceeds capacity {owner.m} of miner '{s.miner_id}' (entry {j})")
-    if coin is not None and miners and (error := _workload_error(total_power(miners), coin.tau)):
+    if coin is not None and miners and (error := _workload_error(total_power(miners), coin)):
         errors.append(error)
     return errors

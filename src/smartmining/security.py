@@ -9,7 +9,6 @@ chasing the boosted epochs depresses reduced-epoch revenue even further.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .engine import periodic_utility, steady_cycle, trace_utilities
@@ -18,8 +17,7 @@ from .model import MinerParams, StrategySchedule, total_power
 _ENTRANT_ID = "entrant"
 
 
-@dataclass(frozen=True)
-class AttackReport:
+class AttackReport(NamedTuple):
     """Security posture of a periodic scenario at its weakest epoch."""
 
     lre_active_power: float
@@ -27,20 +25,13 @@ class AttackReport:
     attack_threshold: float
     per_miner_gain: dict[str, float]
 
-    def __post_init__(self):
-        if not 0 <= self.idle_fraction < 1:
-            raise ValueError(f"idle fraction must lie in [0, 1), got {self.idle_fraction}")
-        if not 0 < self.attack_threshold <= 0.5:
-            raise ValueError(f"attack threshold must lie in (0, 0.5], got {self.attack_threshold}")
-
 
 class BystanderGain(NamedTuple):
     utility: float
     gain: float
 
 
-@dataclass(frozen=True)
-class EntryEffect:
+class EntryEffect(NamedTuple):
     """Reduced-epoch economics before and after an entrant joins only the
     high-revenue epochs (the reward is deliberately not recalibrated)."""
 
@@ -93,7 +84,7 @@ def entry_effect(coin, miners, attacker_schedule: StrategySchedule, entrant_powe
     cost structure never enters revenue-per-hash dynamics, so only the power
     is taken.
     """
-    if entrant_power < 0:
+    if not entrant_power >= 0:
         raise ValueError(f"entrant power must be >= 0, got {entrant_power}")
     before = steady_cycle(coin, miners, [attacker_schedule])
     actives = [rec.total_active for rec in before]

@@ -68,6 +68,10 @@ class TestSmartUtility:
         with pytest.raises(ValueError, match=r"M\*tau = .* underflows or overflows"):
             AggregateContext(M=M, coin=CoinParams(tau=tau, epsilon=0.0, w=5.0))
 
+    def test_baseline_price_domain_error(self):
+        with pytest.raises(ValueError, match=r"w/\(M\*tau\) = .* overflows"):
+            AggregateContext(M=1.0, coin=CoinParams(tau=1e-300, epsilon=0.0, w=1e300))
+
     def test_engine_cross_check(self):
         coin, miners = proportional_scenario(0.2, 0.15)
         deviator = miners[0]

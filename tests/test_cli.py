@@ -31,6 +31,59 @@ HONEST_CONFIG = {
 }
 
 
+SMART_SUMMARY_GOLDEN = """\
+{
+  "version": "0.1.0",
+  "epochs": 6,
+  "coin": {
+    "tau": 600.0,
+    "epsilon": 0.0,
+    "w": 600.0,
+    "clamp": null
+  },
+  "miners": [
+    {
+      "id": "attacker",
+      "m": 20.0,
+      "fc": 0.03,
+      "vc": 0.0085
+    },
+    {
+      "id": "rest",
+      "m": 80.0,
+      "fc": 0.0,
+      "vc": 0.01
+    }
+  ],
+  "schedules": [
+    {
+      "miner_id": "attacker",
+      "powers": [
+        0.0,
+        20.0
+      ],
+      "offset": 0
+    }
+  ],
+  "utilities": {
+    "attacker": 0.0012195121951219454,
+    "rest": 0.07804878048780485
+  }
+}
+"""
+
+SMART_SECURITY_GOLDEN = """\
+{
+  "lre_active_power": 80.0,
+  "idle_fraction": 0.2,
+  "attack_threshold": 0.4,
+  "per_miner_gain": {
+    "attacker": 0.0012195121951219454,
+    "rest": 0.07804878048780485
+  }
+}
+"""
+
 # every miner and tau at 1e-200: M*tau underflows to 0
 TINY_CONFIG = {
     "coin": {"tau": 1e-200},
@@ -40,6 +93,21 @@ TINY_CONFIG = {
     ],
 }
 
+
+# w/(M*tau) = 1e300/1e-300 overflows to inf
+HUGE_PRICE_CONFIG = {
+    "coin": {"tau": 1e-300},
+    "reward": 1e300,
+    "miners": [{"id": "a", "m": 0.5, "fc": 0.1, "vc": 0.1}, {"id": "b", "m": 0.5, "fc": 0.1, "vc": 0.1}],
+    "schedules": [{"miner_id": "a", "powers": [0.0, 0.5]}],
+}
+
+# a finite baseline price, but the boosted epoch of miner "a" has (M - m)*tau = 1e-15
+HUGE_BOOST_CONFIG = {
+    "coin": {"tau": 1.0},
+    "reward": 1e295,
+    "miners": [{"id": "a", "m": 1.0, "fc": 0.1, "vc": 0.1}, {"id": "b", "m": 1e-15, "fc": 0.1, "vc": 0.1}],
+}
 
 _MISSING = object()
 
@@ -136,6 +204,13 @@ class TestSimulate:
                 cells += [repr(s.active_power), repr(s.revenue_rate), repr(s.cost_rate), repr(s.profit_rate)]
             lines.append(",".join(cells))
         assert (out / "trace.csv").read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+    def test_summary_json_golden_bytes(self, tmp_path):
+        # pins the key order that the summary takes from the input types
+        cfg = _write_config(tmp_path, SMART_CONFIG)
+        out = tmp_path / "out"
+        assert main(["simulate", cfg, "--epochs", "6", "--out", str(out)]) == 0
+        assert (out / "summary.json").read_bytes() == SMART_SUMMARY_GOLDEN.encode("utf-8")
 
     def test_duplicate_miner_id_exits_2(self, tmp_path, capsys):
         doc = json.loads(json.dumps(HONEST_CONFIG))
@@ -306,6 +381,12 @@ class TestSecurityCommand:
         assert report["idle_fraction"] == pytest.approx(0.2, rel=1e-15)
         assert report["per_miner_gain"]["rest"] > 0
 
+    def test_report_golden_bytes(self, tmp_path, capsys):
+        # pins the key order that the report takes from AttackReport's fields
+        cfg = _write_config(tmp_path, SMART_CONFIG)
+        assert main(["security", cfg]) == 0
+        assert capsys.readouterr().out == SMART_SECURITY_GOLDEN
+
     def test_honest_report(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, HONEST_CONFIG)
         assert main(["security", cfg]) == 0
@@ -325,6 +406,22 @@ class TestSecurityCommand:
         cfg = _write_config(tmp_path, HONEST_CONFIG)
         assert main(["security", cfg, "--entrant", "10"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("deviators,entrant,code", [
+        (["attacker", "rest"], "5", 2),   # --entrant needs exactly one schedule
+        (["attacker", "rest"], "-5", 2),
+        (["attacker"], "-5", 2),
+        (["attacker"], "nan", 2),
+        (["attacker"], "5", 3),           # a valid request that stalls
+    ])
+    def test_entrant_errors_precede_a_stall(self, tmp_path, capsys, deviators, entrant, code):
+        # every miner is scheduled and idles in epoch 1, so any simulation stalls
+        doc = dict(SMART_CONFIG, miners=[p for p in SMART_CONFIG["miners"] if p["id"] in deviators],
+                   schedules=[{"miner_id": mid, "powers": [0.0, 20.0]} for mid in deviators])
+        cfg = _write_config(tmp_path, doc)
+        assert main(["security", cfg, "--entrant", entrant]) == code
+        err = json.loads(capsys.readouterr().err)
+        assert isinstance(err, list if code == 2 else dict)
 
     def test_clamped_coin_rejected_with_exit_2(self, tmp_path, capsys):
         # steady-state reports need an unclamped retarget
@@ -376,6 +473,15 @@ BAD_INPUTS = {
                            "invalid int value: 'abc'"),
     "unknown-mode": (None, ["sweep", "--mode", "bogus", "--nx", "2", "--ny", "2", "--out", "s.csv"],
                      "invalid choice: 'bogus'"),
+    "cost-rate-overflow": (_patched(["miners", 0], {"id": "attacker", "m": 1e300, "fc": 0.0, "vc": 1e10}),
+                           ["security"], "miner 'attacker' has total cost rate fc + vc*m = inf"),
+    "price-overflow-analyze": (HUGE_PRICE_CONFIG, ["analyze", "--miner", "a"], "the baseline price must be finite"),
+    "price-overflow-optimize": (HUGE_PRICE_CONFIG, ["optimize", "--miner", "a"],
+                                "the baseline price must be finite"),
+    "price-overflow-security": (HUGE_PRICE_CONFIG, ["security"], "the baseline price must be finite"),
+    "price-overflow-simulate": (HUGE_PRICE_CONFIG, ["simulate", "--epochs", "3", "--out", "out"],
+                                "the baseline price must be finite"),
+    "non-finite-result": (HUGE_BOOST_CONFIG, ["analyze", "--miner", "a"], "not JSON compliant"),
 }
 
 

@@ -64,6 +64,18 @@ class TestStepEpoch:
         with pytest.raises(ValueError, match="active power nan outside"):
             step_epoch(1, 60000.0, {"a": float("nan")}, _coin(), _two_miners())
 
+    def test_epoch_index_below_one_rejected(self):
+        with pytest.raises(ValueError, match="epoch index must be >= 1, got 0"):
+            step_epoch(0, 60000.0, {}, _coin(), _two_miners())
+
+    def test_duration_underflow_rejected(self):
+        # epoch 1 runs on 1e-300 of power, so H_2 = 1e-300*tau is subnormal and
+        # the full power of epoch 2 clears it in a duration that rounds to 0
+        miners = [MinerParams("a", 1e20, 0.0, 1e-20), MinerParams("b", 1e-300, 1.0, 0.0)]
+        coin = CoinParams(tau=1e-20, epsilon=0.0, w=1.0)
+        with pytest.raises(ValueError, match="epoch duration must be > 0, got 0.0"):
+            run(coin, miners, [StrategySchedule("a", (0.0, 1e20))], 3)
+
 
 class TestRun:
     def test_honest_equilibrium_each_epoch(self):

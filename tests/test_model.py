@@ -3,14 +3,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smartmining import (
+    AttackReport,
     CoinParams,
     ConfigurationError,
+    EntryEffect,
+    EpochRecord,
     MinerEpochStats,
     MinerParams,
+    SimulationTrace,
+    SmarterPoint,
     StrategySchedule,
     calibrate_reward,
     validate_scenario,
 )
+
+# result types are named tuples; the CLI's CSV columns and JSON keys follow their field order
+_RESULT_FIELDS = {
+    MinerEpochStats: ("miner_id", "active_power", "revenue_rate", "cost_rate", "profit_rate"),
+    EpochRecord: ("k", "H", "t", "rph", "per_miner"),
+    SimulationTrace: ("records", "utilities", "horizon"),
+    SmarterPoint: ("delta", "utility", "roi"),
+    AttackReport: ("lre_active_power", "idle_fraction", "attack_threshold", "per_miner_gain"),
+    EntryEffect: ("rph_lre_before", "rph_lre_after", "rph_hre_before", "rph_hre_after",
+                  "lre_active_before", "lre_active_after"),
+}
 
 
 class TestMinerParams:
@@ -42,8 +58,14 @@ class TestMinerParams:
         with pytest.raises(ValueError, match="must be finite"):
             MinerParams("a", **kwargs)
 
-    def test_stats_fields(self):
-        assert MinerEpochStats._fields == ("miner_id", "active_power", "revenue_rate", "cost_rate", "profit_rate")
+    def test_cost_rate_overflow_names_the_miner(self):
+        with pytest.raises(ValueError, match="miner 'a' has total cost rate fc \\+ vc\\*m = inf"):
+            MinerParams("a", m=1e300, fc=0.0, vc=1e10)
+
+    @pytest.mark.parametrize("cls", list(_RESULT_FIELDS), ids=lambda cls: cls.__name__)
+    def test_stats_fields(self, cls):
+        assert issubclass(cls, tuple)
+        assert cls._fields == _RESULT_FIELDS[cls]
 
 
 class TestCoinParams:
@@ -171,6 +193,11 @@ class TestValidateScenario:
         miners = [MinerParams("a", 1e307, 0.1, 0.0), MinerParams("b", 1e307, 0.1, 0.0)]
         errors = validate_scenario(self._coin(), miners)
         assert len(errors) == 1 and "M*tau = 2e+307*600.0" in errors[0]
+
+    def test_baseline_price_overflow(self):
+        coin = CoinParams(tau=1e-300, epsilon=0.0, w=1e300)
+        errors = validate_scenario(coin, [MinerParams("a", 0.5, 0.1, 0.1), MinerParams("b", 0.5, 0.1, 0.1)])
+        assert errors == ["w/(M*tau) = 1e+300/1e-300 overflows: the baseline price must be finite"]
 
     def test_first_workload_unchecked_without_coin(self):
         assert validate_scenario(None, [MinerParams("a", 1e-200, 0.1, 0.1)]) == []
