@@ -59,10 +59,12 @@ def smart_utility(ctx: AggregateContext, miner: MinerParams) -> float:
             / [(M - m)/M + M/(M - m)]
 
     The idle epoch burns fc per time unit for its long duration; the boosted
-    epoch earns m*w/((M - m)*tau) against full costs.
+    epoch earns m*w/((M - m)*tau) against full costs.  The market and miner
+    parameters may be numpy arrays: they broadcast, every range check
+    applies to each element, and the result is an array of utilities.
     """
     M, m = ctx.M, miner.m
-    if not 0 < m < M:
+    if not np.all((0 < m) & (m < M)):
         raise ValueError(f"deviating power must satisfy 0 < m < M, got m={m}, M={M}")
     r0 = ctx.coin.w / (M * ctx.coin.tau)
     remaining = M - m
@@ -77,15 +79,15 @@ def smarter_utility(ctx: AggregateContext, miner: MinerParams, delta):
     """Long-run profit rate when idling ``delta`` of the miner's capacity in
     the reduced epochs (full power in between).
 
-    ``delta`` may be a float or a numpy array, evaluated elementwise.
-    delta = 0 is honest mining; delta = m reproduces ``smart_utility``
-    exactly, operation for operation.
+    ``delta`` may be a float or a numpy array, and so may the market and
+    miner parameters: they all broadcast elementwise, and every range check
+    applies to each element.  delta = 0 is honest mining; delta = m
+    reproduces ``smart_utility`` exactly, operation for operation.
     """
     M, m = ctx.M, miner.m
-    if m > M:
+    if np.any(m > M):
         raise ValueError(f"miner power {m} exceeds total power {M}")
-    dmin, dmax = np.min(delta), np.max(delta)
-    if dmin < 0 or dmax > m or dmax >= M:
+    if np.any((delta < 0) | (delta > m) | (delta >= M)):
         raise ValueError(f"idle power must lie in [0, {m}] and strictly below M={M}")
     r0 = ctx.coin.w / (M * ctx.coin.tau)
     remaining = M - delta
@@ -170,33 +172,57 @@ def _canonical(x: float, y: float) -> tuple[AggregateContext, MinerParams]:
     return AggregateContext(M=1.0, coin=coin), miner
 
 
+class _CanonicalGrid(NamedTuple):
+    """The markets and deviators of ``_canonical`` over a whole (y, x) grid,
+    as arrays that broadcast to it.  It stands in for both the context and
+    the miner, so it is its own ``coin``."""
+
+    M: float
+    tau: float
+    w: np.ndarray
+    m: np.ndarray
+    fc: np.ndarray
+    vc: np.ndarray
+
+    @property
+    def coin(self) -> _CanonicalGrid:
+        return self
+
+    @property
+    def cost_rate(self) -> np.ndarray:
+        return self.fc + self.vc * self.m
+
+
 def sweep(xs, ys, mode: str) -> np.ndarray:
     """ROI matrix over power shares ``xs`` (columns) and fixed-cost shares
     ``ys`` (rows), row-major with y as the outer axis.
 
     Mode ``"smart"`` evaluates the plain alternation; ``"smarter"``
     tunes the idle power per cell first, so its entries dominate cellwise.
+    Either mode is one broadcasting call over the whole grid, which makes
+    the float operations of each cell those of the scalar call on
+    ``_canonical(x, y)``.
     """
     if mode not in (MODE_SMART, MODE_SMARTER):
         raise ValueError(f"unknown sweep mode '{mode}'")
-    xs = [float(x) for x in xs]
-    ys = [float(y) for y in ys]
-    if not xs or not ys:
+    xs = np.fromiter(map(float, xs), dtype=float)
+    ys = np.fromiter(map(float, ys), dtype=float)
+    if not xs.size or not ys.size:
         raise ValueError("sweep grid must be non-empty")
-    for x in xs:
-        if not 0 < x < 1:
-            raise ValueError(f"power shares must lie in (0, 1), got {x}")
-    for y in ys:
-        if not 0 <= y < 1:
-            raise ValueError(f"fixed-cost shares must lie in [0, 1), got {y}")
-    if mode == MODE_SMARTER:
-        from .optimizer import optimal_idle  # deferred: optimizer imports this module
-    out = np.empty((len(ys), len(xs)), dtype=float)
-    for i, y in enumerate(ys):
-        for j, x in enumerate(xs):
-            ctx, miner = _canonical(x, y)
-            if mode == MODE_SMART:
-                out[i, j] = roi(smart_utility(ctx, miner), miner)
-            else:
-                out[i, j] = optimal_idle(ctx, miner).roi
-    return out
+    bad = ~((0 < xs) & (xs < 1))
+    if bad.any():
+        raise ValueError(f"power shares must lie in (0, 1), got {float(xs[bad][0])}")
+    bad = ~((0 <= ys) & (ys < 1))
+    if bad.any():
+        raise ValueError(f"fixed-cost shares must lie in [0, 1), got {float(ys[bad][0])}")
+    with np.errstate(over="ignore"):
+        w = 1.0 / xs
+    bad = np.isinf(w)
+    if bad.any():
+        raise ValueError(f"power share {float(xs[bad][0])} is too small: the reward 1/x overflows")
+    fc = ys[:, np.newaxis]
+    grid = _CanonicalGrid(M=1.0, tau=1.0, w=w, m=xs, fc=fc, vc=(1.0 - fc) / xs)
+    if mode == MODE_SMART:
+        return roi(smart_utility(grid, grid), grid)
+    from .optimizer import optimal_idle  # deferred: optimizer imports this module
+    return optimal_idle(grid, grid).roi

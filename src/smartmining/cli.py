@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -146,10 +147,33 @@ def _find_miner(miners, miner_id):
     raise ConfigurationError(f"unknown miner '{miner_id}'")
 
 
+def _non_finite_path(doc, path=""):
+    """Key path of the first non-finite number in ``doc``, in output order, or None."""
+    if isinstance(doc, float):
+        return None if math.isfinite(doc) else path
+    if isinstance(doc, dict):
+        children = ((f"{path}.{k}" if path else str(k), v) for k, v in doc.items())
+    elif isinstance(doc, (list, tuple)):
+        children = ((f"{path}[{i}]", v) for i, v in enumerate(doc))
+    else:
+        return None
+    for child_path, child in children:
+        if (found := _non_finite_path(child, child_path)) is not None:
+            return found
+    return None
+
+
 def _json(doc) -> str:
-    """``doc`` as indented JSON; a non-finite number raises ValueError instead
-    of writing a NaN or Infinity token, which JSON does not have."""
-    return json.dumps(doc, indent=2, allow_nan=False)
+    """``doc`` as indented JSON; a non-finite number raises ValueError naming
+    its key path instead of writing a NaN or Infinity token, which JSON does
+    not have."""
+    try:
+        return json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError as exc:
+        path = _non_finite_path(doc)
+        if path is None:
+            raise
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _write_text(path, text) -> None:
@@ -235,10 +259,11 @@ def _cmd_sweep(args) -> int:
     xs = [(j + 0.5) / args.nx for j in range(args.nx)]
     ys = [(i + 0.5) / args.ny for i in range(args.ny)]
     matrix = sweep(xs, ys, args.mode)
+    x_cells = [f"{xv:.17g}," for xv in xs]
     lines = ["x,y,roi"]
-    for i, yv in enumerate(ys):
-        for j, xv in enumerate(xs):
-            lines.append(f"{xv:.17g},{yv:.17g},{matrix[i, j]:.17g}")
+    for yv, row in zip(ys, matrix.tolist()):
+        y_cell = f"{yv:.17g},"
+        lines.extend([x_cell + y_cell + f"{r:.17g}" for x_cell, r in zip(x_cells, row)])
     _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 

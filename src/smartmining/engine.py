@@ -36,8 +36,9 @@ def step_epoch(k: int, H: float, active, coin, miners) -> tuple[EpochRecord, flo
 
     Raises StalledEpochError when no power is active: the epoch would never
     complete and the utility of the run is undefined.  Raises ValueError for
-    k < 1, an active power outside [0, m], or a workload or a duration that
-    is not > 0 (a duration can underflow to 0 after a tiny retarget).
+    k < 1, an active power outside [0, m], a workload or a duration that is
+    not > 0 (a duration can underflow to 0 after a tiny retarget), or a
+    revenue per hash w/H that overflows (after a retarget to a tiny H).
     """
     if k < 1:
         raise ValueError(f"epoch index must be >= 1, got {k}")
@@ -54,6 +55,8 @@ def step_epoch(k: int, H: float, active, coin, miners) -> tuple[EpochRecord, flo
     if t <= 0:
         raise ValueError(f"epoch duration must be > 0, got {t}")
     rph = coin.w / H
+    if rph == math.inf:
+        raise ValueError(f"epoch {k}: revenue per hash w/H = {coin.w!r}/{H!r} overflows: the workload is too small")
     per = tuple([MinerEpochStats(p.id, mhat, (revenue := rph * mhat), (cost := p.fc + p.vc * mhat),
                                  revenue - cost) for p, mhat in zip(miners, powers)])
     H_next = A * coin.tau

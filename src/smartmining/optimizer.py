@@ -11,6 +11,8 @@ from .model import MinerParams
 
 # brute-force evaluation block; sized to keep the working set inside the cache
 _CHUNK = 131072
+# math.hypot elementwise: np.hypot rounds differently in the last place
+_hypot = np.frompyfunc(math.hypot, 2, 1)
 
 
 def optimal_idle(ctx: AggregateContext, miner: MinerParams) -> SmarterPoint:
@@ -33,31 +35,41 @@ def optimal_idle(ctx: AggregateContext, miner: MinerParams) -> SmarterPoint:
     to the smaller idle power, the lesser harm to coin security; delta = m
     is evaluated operation for operation like ``smart_utility``.
 
+    Broadcasts: ``M``, ``w``, ``tau``, ``m``, ``fc`` and ``vc`` may be numpy
+    arrays of one common broadcast shape (``sweep`` passes a whole grid), and
+    the fields of the result then have that shape.  The candidates stack on
+    a new leading axis of length 3, so each market gets the same float
+    operations as a call on scalars, which returns plain floats.
+
     A sole miner (m = M) is rejected: delta = m would idle the whole network
     and stall the reduced epoch, so ``smarter_utility`` requires delta < M.
     """
     M, m = ctx.M, miner.m
-    if not 0 < m < M:
+    if not np.all((0 < m) & (m < M)):
         raise ValueError(f"deviating power must satisfy 0 < m < M, got m={m}, M={M}")
     r0 = ctx.coin.w / (M * ctx.coin.tau)
     g = r0 - miner.vc
     q2 = -(miner.fc + miner.vc * m)
     q1 = M * (m * r0 + M * g)
     q0 = -M * M * (g * (M - m) + miner.fc)
-    deltas = [0.0]
-    if q1 != 0:
-        b = q2 * M * M - q0
-        s = math.copysign(math.hypot(b, q1 * M), q1)
-        # stable quadratic formula: never add terms of opposite sign
-        r_plus = (b + s) / q1 if b * q1 >= 0 else -q1 * M * M / (b - s)
+    b = q2 * M * M - q0
+    s = np.copysign(np.asarray(_hypot(b, q1 * M), dtype=float), q1)
+    # stable quadratic formula: never add terms of opposite sign; np.where
+    # also evaluates the branch it discards, and q1 == 0 has no root at all
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r_plus = np.where(b * q1 >= 0, (b + s) / q1, -q1 * M * M / (b - s))
         interior = M - r_plus
-        if 0.0 < interior < m:
-            deltas.append(interior)
-    deltas.append(float(m))
-    us = smarter_utility(ctx, miner, np.array(deltas))
-    j = int(np.argmax(us))
-    best_u = float(us[j])
-    return SmarterPoint(delta=deltas[j], utility=best_u, roi=roi(best_u, miner))
+    inside = (q1 != 0) & (0.0 < interior) & (interior < m)
+    # an excluded interior candidate evaluates at the honest point, then loses
+    deltas = np.stack(np.broadcast_arrays(0.0, np.where(inside, interior, 0.0), m))
+    us = smarter_utility(ctx, miner, deltas)
+    us[1] = np.where(inside, us[1], -np.inf)
+    best = np.argmax(us, axis=0)[np.newaxis]
+    delta = np.take_along_axis(deltas, best, axis=0)[0]
+    utility = np.take_along_axis(us, best, axis=0)[0]
+    if utility.ndim == 0:   # a single market
+        delta, utility = float(delta), float(utility)
+    return SmarterPoint(delta=delta, utility=utility, roi=roi(utility, miner))
 
 
 def brute_force_idle(ctx: AggregateContext, miner: MinerParams, resolution: int) -> SmarterPoint:

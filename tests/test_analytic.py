@@ -1,4 +1,6 @@
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from smartmining import (
     sweep,
 )
 from smartmining.analytic import MODE_SMART, MODE_SMARTER, _canonical
+from smartmining.optimizer import optimal_idle
 
 
 def _bisect_boundary(y, iters=200):
@@ -294,6 +297,31 @@ class TestSweep:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             sweep([0.5], [0.1], "fastest")
+
+    @pytest.mark.parametrize("xs,ys,message", [
+        ([0.5, 1.0, 2.0], [0.1], "power shares must lie in (0, 1), got 1.0"),
+        ([0.5], [0.1, -0.5, 1.0], "fixed-cost shares must lie in [0, 1), got -0.5"),
+        ([0.5, 1e-310], [0.1], "power share 1e-310 is too small"),
+    ])
+    def test_invalid_grid_names_first_bad_value(self, xs, ys, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sweep(xs, ys, MODE_SMART)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        xs=st.lists(st.one_of(st.floats(1e-300, 1e-3), st.floats(1e-3, 0.999),
+                              st.floats(0.999, 1.0, exclude_max=True)), min_size=1, max_size=6),
+        ys=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)), min_size=1, max_size=6),
+    )
+    def test_grid_cells_equal_scalar_calls_bit_for_bit(self, xs, ys):
+        smart = sweep(xs, ys, MODE_SMART)
+        smarter = sweep(xs, ys, MODE_SMARTER)
+        assert smart.shape == smarter.shape == (len(ys), len(xs))
+        for i, y in enumerate(ys):
+            for j, x in enumerate(xs):
+                ctx, miner = _canonical(x, y)
+                assert float(smart[i, j]).hex() == roi(smart_utility(ctx, miner), miner).hex()
+                assert float(smarter[i, j]).hex() == optimal_idle(ctx, miner).roi.hex()
 
 
 class TestAnalyticEngineEquivalence:

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -107,6 +108,21 @@ HUGE_BOOST_CONFIG = {
     "coin": {"tau": 1.0},
     "reward": 1e295,
     "miners": [{"id": "a", "m": 1.0, "fc": 0.1, "vc": 0.1}, {"id": "b", "m": 1e-15, "fc": 0.1, "vc": 0.1}],
+}
+
+# the retarget after epoch 1 (a idle, only b's 1e-300 active) leaves H_2 = 1e-320,
+# so the revenue per hash w/H_2 of epoch 2 overflows
+INFINITE_PRICE_CONFIG = {
+    "coin": {"tau": 1e-20},
+    "reward": 1.0,
+    "miners": [{"id": "a", "m": 1e20, "fc": 0.0, "vc": 1e-20}, {"id": "b", "m": 1e-300, "fc": 1.0, "vc": 0.0}],
+    "schedules": [{"miner_id": "a", "powers": [0.0, 0.0, 1e20]}],
+}
+
+# sha256 of `sweep --nx 50 --ny 50` output per mode, as the per-cell loop wrote it
+SWEEP_50_SHA256 = {
+    "smart": "649774d028adaefc0904845ec98c5baef29a740b02cfc0599c8e5287c4f2c9b0",
+    "smarter": "bab48a2f75ee3ae991d211d950db312406f2aede46965abda4956ae779bab637",
 }
 
 _MISSING = object()
@@ -358,6 +374,12 @@ class TestSweep:
         for a, b in zip(smart_rows, smarter_rows):
             assert float(b[2]) >= float(a[2])
 
+    @pytest.mark.parametrize("mode", list(SWEEP_50_SHA256))
+    def test_golden_digest(self, tmp_path, mode):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--mode", mode, "--nx", "50", "--ny", "50", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_50_SHA256[mode]
+
     def test_single_cell_axis_exits_2(self, tmp_path, capsys):
         assert main(["sweep", "--mode", "smart", "--nx", "1", "--ny", "10",
                      "--out", str(tmp_path / "s.csv")]) == 2
@@ -447,7 +469,7 @@ class TestClampedSimulation:
 
 
 # (config document or raw bytes, or None for no config; argv after the config
-# path; a fragment one of the error messages must contain)
+# path; a fragment one of the error messages must contain, or a tuple of them)
 BAD_INPUTS = {
     "miners-not-a-list": (_patched(["miners"], 5), ["security"], "'miners' must be a list of JSON objects"),
     "huge-integer-power": (_patched(["miners", 0, "m"], 10 ** 400), ["security"], "int too large"),
@@ -481,7 +503,10 @@ BAD_INPUTS = {
     "price-overflow-security": (HUGE_PRICE_CONFIG, ["security"], "the baseline price must be finite"),
     "price-overflow-simulate": (HUGE_PRICE_CONFIG, ["simulate", "--epochs", "3", "--out", "out"],
                                 "the baseline price must be finite"),
-    "non-finite-result": (HUGE_BOOST_CONFIG, ["analyze", "--miner", "a"], "not JSON compliant"),
+    "non-finite-result": (HUGE_BOOST_CONFIG, ["analyze", "--miner", "a"],
+                          ("not JSON compliant", "epoch_table.rph_hre")),
+    "infinite-price-simulate": (INFINITE_PRICE_CONFIG, ["simulate", "--epochs", "2", "--out", "out"],
+                                "epoch 2: revenue per hash w/H = 1.0/1e-320 overflows"),
 }
 
 
@@ -500,7 +525,8 @@ class TestInputBoundary:
         assert "Traceback" not in captured.err
         errors = json.loads(captured.err)
         assert isinstance(errors, list) and all(isinstance(e, str) for e in errors)
-        assert any(fragment in e for e in errors), errors
+        for fragment in (fragment,) if isinstance(fragment, str) else fragment:
+            assert any(fragment in e for e in errors), errors
 
     def test_integer_literals_match_floats_byte_for_byte(self, tmp_path, capsys):
         ints = json.loads(json.dumps(SMART_CONFIG))
