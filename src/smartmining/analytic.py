@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -59,12 +60,12 @@ def smart_utility(ctx: AggregateContext, miner: MinerParams) -> float:
             / [(M - m)/M + M/(M - m)]
 
     The idle epoch burns fc per time unit for its long duration; the boosted
-    epoch earns m*w/((M - m)*tau) against full costs.  The market and miner
-    parameters may be numpy arrays: they broadcast, every range check
-    applies to each element, and the result is an array of utilities.
+    epoch earns m*w/((M - m)*tau) against full costs.  Scalar only: this is
+    the independent reference for ``smarter_utility`` at delta = m, which
+    ``sweep`` evaluates over whole grids.
     """
     M, m = ctx.M, miner.m
-    if not np.all((0 < m) & (m < M)):
+    if not 0 < m < M:
         raise ValueError(f"deviating power must satisfy 0 < m < M, got m={m}, M={M}")
     r0 = ctx.coin.w / (M * ctx.coin.tau)
     remaining = M - m
@@ -81,8 +82,9 @@ def smarter_utility(ctx: AggregateContext, miner: MinerParams, delta):
 
     ``delta`` may be a float or a numpy array, and so may the market and
     miner parameters: they all broadcast elementwise, and every range check
-    applies to each element.  delta = 0 is honest mining; delta = m
-    reproduces ``smart_utility`` exactly, operation for operation.
+    applies to each element.  delta = 0 is honest mining; delta = m is the
+    full-idle alternation of ``smart_utility``, reproduced exactly, operation
+    for operation, which is how ``sweep`` evaluates its smart mode.
     """
     M, m = ctx.M, miner.m
     if np.any(m > M):
@@ -172,36 +174,15 @@ def _canonical(x: float, y: float) -> tuple[AggregateContext, MinerParams]:
     return AggregateContext(M=1.0, coin=coin), miner
 
 
-class _CanonicalGrid(NamedTuple):
-    """The markets and deviators of ``_canonical`` over a whole (y, x) grid,
-    as arrays that broadcast to it.  It stands in for both the context and
-    the miner, so it is its own ``coin``."""
-
-    M: float
-    tau: float
-    w: np.ndarray
-    m: np.ndarray
-    fc: np.ndarray
-    vc: np.ndarray
-
-    @property
-    def coin(self) -> _CanonicalGrid:
-        return self
-
-    @property
-    def cost_rate(self) -> np.ndarray:
-        return self.fc + self.vc * self.m
-
-
 def sweep(xs, ys, mode: str) -> np.ndarray:
     """ROI matrix over power shares ``xs`` (columns) and fixed-cost shares
     ``ys`` (rows), row-major with y as the outer axis.
 
-    Mode ``"smart"`` evaluates the plain alternation; ``"smarter"``
-    tunes the idle power per cell first, so its entries dominate cellwise.
-    Either mode is one broadcasting call over the whole grid, which makes
-    the float operations of each cell those of the scalar call on
-    ``_canonical(x, y)``.
+    Mode ``"smart"`` is ``smarter_utility`` at delta = m, the plain
+    alternation; ``"smarter"`` tunes the idle power per cell first with
+    ``optimal_idle``, so its entries dominate cellwise.  Each mode is one
+    call on the whole grid, with the float operations of the scalar call
+    on ``_canonical(x, y)`` in each cell.
     """
     if mode not in (MODE_SMART, MODE_SMARTER):
         raise ValueError(f"unknown sweep mode '{mode}'")
@@ -220,9 +201,11 @@ def sweep(xs, ys, mode: str) -> np.ndarray:
     bad = np.isinf(w)
     if bad.any():
         raise ValueError(f"power share {float(xs[bad][0])} is too small: the reward 1/x overflows")
+    ctx = SimpleNamespace(M=1.0, coin=SimpleNamespace(w=w, tau=1.0))
     fc = ys[:, np.newaxis]
-    grid = _CanonicalGrid(M=1.0, tau=1.0, w=w, m=xs, fc=fc, vc=(1.0 - fc) / xs)
+    vc = (1.0 - fc) / xs
+    miner = SimpleNamespace(m=xs, fc=fc, vc=vc, cost_rate=fc + vc * xs)
     if mode == MODE_SMART:
-        return roi(smart_utility(grid, grid), grid)
+        return roi(smarter_utility(ctx, miner, miner.m), miner)
     from .optimizer import optimal_idle  # deferred: optimizer imports this module
-    return optimal_idle(grid, grid).roi
+    return optimal_idle(ctx, miner).roi

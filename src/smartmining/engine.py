@@ -36,14 +36,15 @@ def step_epoch(k: int, H: float, active, coin, miners) -> tuple[EpochRecord, flo
 
     Raises StalledEpochError when no power is active: the epoch would never
     complete and the utility of the run is undefined.  Raises ValueError for
-    k < 1, an active power outside [0, m], a workload or a duration that is
-    not > 0 (a duration can underflow to 0 after a tiny retarget), or a
-    revenue per hash w/H that overflows (after a retarget to a tiny H).
+    k < 1, an active power outside [0, m], a workload that is not > 0, a
+    duration H/A that is not > 0 (it can underflow to 0 after a tiny
+    retarget) or overflows (on a tiny active power), or a revenue per hash
+    w/H that overflows (after a retarget to a tiny H).
     """
     if k < 1:
         raise ValueError(f"epoch index must be >= 1, got {k}")
     if H <= 0:
-        raise ValueError(f"epoch workload must be > 0, got {H}")
+        raise ValueError(f"epoch {k}: epoch workload must be > 0, got {H}")
     powers = [active.get(p.id, p.m) for p in miners]
     for p, mhat in zip(miners, powers):
         if not 0 <= mhat <= p.m:
@@ -53,7 +54,9 @@ def step_epoch(k: int, H: float, active, coin, miners) -> tuple[EpochRecord, flo
         raise StalledEpochError(k)
     t = H / A
     if t <= 0:
-        raise ValueError(f"epoch duration must be > 0, got {t}")
+        raise ValueError(f"epoch {k}: epoch duration must be > 0, got {t}")
+    if t == math.inf:
+        raise ValueError(f"epoch {k}: duration H/A = {H!r}/{A!r} overflows: the active power is too small")
     rph = coin.w / H
     if rph == math.inf:
         raise ValueError(f"epoch {k}: revenue per hash w/H = {coin.w!r}/{H!r} overflows: the workload is too small")
@@ -124,7 +127,7 @@ def steady_cycle(coin, miners, schedules) -> list[EpochRecord]:
     if coin.clamp is not None:
         raise ConfigurationError("steady-state analysis requires an unclamped coin; use run() instead")
     _check_scenario(coin, miners, schedules)
-    p = math.lcm(*(s.period for s in schedules)) if schedules else 1
+    p = math.lcm(*(s.period for s in schedules))
     epochs = _simulate(coin, miners, schedules, 3 * p)
     next(islice(epochs, p, p), None)   # consume the warm-up period
     second = [(rec.k, rec.H, rec.t) for rec in islice(epochs, p)]

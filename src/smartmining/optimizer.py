@@ -49,7 +49,7 @@ def optimal_idle(ctx: AggregateContext, miner: MinerParams) -> SmarterPoint:
         raise ValueError(f"deviating power must satisfy 0 < m < M, got m={m}, M={M}")
     r0 = ctx.coin.w / (M * ctx.coin.tau)
     g = r0 - miner.vc
-    q2 = -(miner.fc + miner.vc * m)
+    q2 = -miner.cost_rate
     q1 = M * (m * r0 + M * g)
     q0 = -M * M * (g * (M - m) + miner.fc)
     b = q2 * M * M - q0

@@ -82,7 +82,7 @@ def entry_effect(coin, miners, attacker_schedule: StrategySchedule, entrant_powe
     revenue per hash there drops by a factor A_hre/(A_hre + entrant_power)
     while the reduced epoch's active power stays exactly unchanged.  Entrant
     cost structure never enters revenue-per-hash dynamics, so only the power
-    is taken.
+    is taken; its id is one that no miner uses.
     """
     if not entrant_power >= 0:
         raise ValueError(f"entrant power must be >= 0, got {entrant_power}")
@@ -94,8 +94,11 @@ def entry_effect(coin, miners, attacker_schedule: StrategySchedule, entrant_powe
     if entrant_power == 0:
         after = before
     else:
-        entrant = MinerParams(_ENTRANT_ID, m=entrant_power, fc=0.0, vc=1.0)
-        joined = StrategySchedule(_ENTRANT_ID, tuple(entrant_power if r == rphs[hre] else 0.0 for r in rphs))
+        entrant_id = _ENTRANT_ID
+        while entrant_id in {p.id for p in miners}:
+            entrant_id += "_"
+        entrant = MinerParams(entrant_id, m=entrant_power, fc=0.0, vc=1.0)
+        joined = StrategySchedule(entrant_id, tuple(entrant_power if r == rphs[hre] else 0.0 for r in rphs))
         after = steady_cycle(coin, list(miners) + [entrant], [attacker_schedule, joined])
     return EntryEffect(
         rph_lre_before=before[lre].rph,

@@ -111,6 +111,12 @@ class TestSmarterUtility:
         with pytest.raises(ValueError):
             smarter_utility(ctx, miner, delta)
 
+    def test_miner_above_total_power_rejected(self):
+        ctx, _ = _canonical(0.2, 0.15)
+        miner = MinerParams("d", m=1.5, fc=0.1, vc=0.9)
+        with pytest.raises(ValueError, match=re.escape("miner power 1.5 exceeds total power 1.0")):
+            smarter_utility(ctx, miner, 0.5)
+
     def test_engine_cross_check_with_margin(self):
         # equivalence holds for any reward, including a nonzero margin
         coin, miners = proportional_scenario(0.25, 0.3, epsilon=0.01, M=50.0, tau=120.0)
@@ -250,6 +256,12 @@ class TestEpochTable:
         assert table["t_lre"] == pytest.approx(600.0, rel=1e-8)
         # market pays 0.01 per hash; profit rate tends to rph*m - cost ~ 0
         assert table["p_hre"] == pytest.approx(0.0, abs=1e-8)
+
+    def test_sole_miner_rejected(self):
+        coin = CoinParams(tau=600.0, epsilon=0.0, w=600.0)
+        miner = MinerParams("a", 100.0, 0.03, 0.0085)
+        with pytest.raises(ValueError, match=re.escape("0 < m < M, got m=100.0, M=100.0")):
+            epoch_table_smart(AggregateContext(M=100.0, coin=coin), miner)
 
     def test_cycle_average_matches_smart_utility(self):
         table, ctx, miner = self._table()

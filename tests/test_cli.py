@@ -424,6 +424,20 @@ class TestSecurityCommand:
         assert block["rph_lre_ratio"] == pytest.approx(100.0 / 110.0, rel=1e-12)
         assert block["lre_active_before"] == block["lre_active_after"] == 80.0
 
+    @pytest.mark.parametrize("renames", [{"rest": "entrant"}, {"attacker": "entrant", "rest": "entrant_"}])
+    def test_miner_ids_like_the_entrant_change_nothing(self, tmp_path, capsys, renames):
+        # the entrant takes an id that no miner uses, whatever the miners are called
+        text = json.dumps(SMART_CONFIG)
+        for old, new in renames.items():
+            text = text.replace(f'"{old}"', f'"{new}"')
+        outputs = []
+        for name, doc in (("plain", SMART_CONFIG), ("renamed", json.loads(text))):
+            assert main(["security", _write_config(tmp_path, doc, name=f"{name}.json"), "--entrant", "10"]) == 0
+            outputs.append(capsys.readouterr().out)
+        for old, new in renames.items():
+            outputs[1] = outputs[1].replace(f'"{new}"', f'"{old}"')
+        assert "entry_effect" in outputs[0] and outputs[0] == outputs[1]
+
     def test_entrant_requires_single_schedule(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, HONEST_CONFIG)
         assert main(["security", cfg, "--entrant", "10"]) == 2
@@ -468,6 +482,19 @@ class TestClampedSimulation:
             assert 1 / 1.1 - 1e-12 <= cur / prev <= 1.1 + 1e-12
 
 
+# epoch 1 runs on b's 1e-310 of power alone, so its duration 1.0/1e-310 overflows
+INFINITE_DURATION_CONFIG = {
+    "coin": {"tau": 1e-20},
+    "reward": 1.0,
+    "miners": [{"id": "a", "m": 1e20, "fc": 0.0, "vc": 1e-20}, {"id": "b", "m": 1e-310, "fc": 1.0, "vc": 0.0}],
+    "schedules": [{"miner_id": "a", "powers": [0.0, 1e20]}],
+}
+
+# epoch 1 runs on b's 1e-305 of power alone, so the retarget 1e-305*tau underflows to 0
+ZERO_WORKLOAD_CONFIG = dict(INFINITE_DURATION_CONFIG, miners=[
+    {"id": "a", "m": 1e20, "fc": 0.0, "vc": 1e-20}, {"id": "b", "m": 1e-305, "fc": 1.0, "vc": 0.0}])
+
+
 # (config document or raw bytes, or None for no config; argv after the config
 # path; a fragment one of the error messages must contain, or a tuple of them)
 BAD_INPUTS = {
@@ -507,6 +534,12 @@ BAD_INPUTS = {
                           ("not JSON compliant", "epoch_table.rph_hre")),
     "infinite-price-simulate": (INFINITE_PRICE_CONFIG, ["simulate", "--epochs", "2", "--out", "out"],
                                 "epoch 2: revenue per hash w/H = 1.0/1e-320 overflows"),
+    "infinite-duration-simulate": (INFINITE_DURATION_CONFIG, ["simulate", "--epochs", "1", "--out", "out"],
+                                   "epoch 1: duration H/A = 1.0/1e-310 overflows"),
+    "infinite-duration-security": (INFINITE_DURATION_CONFIG, ["security"],
+                                   "epoch 1: duration H/A = 1.0/1e-310 overflows"),
+    "zero-workload-simulate": (ZERO_WORKLOAD_CONFIG, ["simulate", "--epochs", "3", "--out", "out"],
+                               "epoch 2: epoch workload must be > 0, got 0.0"),
 }
 
 
@@ -560,6 +593,7 @@ class TestInputBoundary:
          ["miners[0]: hash power must be finite and > 0, got -1.0",
           "schedules[1]: schedule powers must be finite and >= 0, got -1.0"]),
         (dict(SMART_CONFIG, miners=[], schedules=[]), ["no miners defined"]),
+        (_patched(["coin", "tau"], _MISSING), ["coin: missing field 'tau'"]),
     ])
     def test_one_fault_one_message(self, tmp_path, capsys, doc, expected):
         cfg = _write_config(tmp_path, doc)

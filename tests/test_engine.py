@@ -76,6 +76,20 @@ class TestStepEpoch:
         with pytest.raises(ValueError, match="epoch duration must be > 0, got 0.0"):
             run(coin, miners, [StrategySchedule("a", (0.0, 1e20))], 3)
 
+    def test_infinite_duration_rejected(self):
+        # epoch 1 runs on 1e-310 of power alone: H/A = 1.0/1e-310 overflows
+        miners = [MinerParams("a", 1e20, 0.0, 1e-20), MinerParams("b", 1e-310, 1.0, 0.0)]
+        coin = CoinParams(tau=1e-20, epsilon=0.0, w=1.0)
+        with pytest.raises(ValueError, match=r"^epoch 1: duration H/A = 1\.0/1e-310 overflows"):
+            step_epoch(1, 1.0, {"a": 0.0}, coin, miners)
+
+    def test_zero_workload_names_epoch(self):
+        # epoch 1 runs on 1e-305 of power alone, so H_2 = 1e-305*tau underflows to 0
+        miners = [MinerParams("a", 1e20, 0.0, 1e-20), MinerParams("b", 1e-305, 1.0, 0.0)]
+        coin = CoinParams(tau=1e-20, epsilon=0.0, w=1.0)
+        with pytest.raises(ValueError, match=r"^epoch 2: epoch workload must be > 0, got 0\.0$"):
+            run(coin, miners, [StrategySchedule("a", (0.0, 1e20))], 3)
+
 
 class TestRun:
     def test_honest_equilibrium_each_epoch(self):
