@@ -18,11 +18,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .model import CoinParams, MinerParams, _finite, _workload_error
+
+# numpy loads inside the array functions (smarter_utility, sweep), so that the
+# scalar closed forms and the CLI commands that build no array start without it
+if TYPE_CHECKING:
+    import numpy as np
 
 MODE_SMART = "smart"
 MODE_SMARTER = "smarter"
@@ -86,6 +89,7 @@ def smarter_utility(ctx: AggregateContext, miner: MinerParams, delta):
     full-idle alternation of ``smart_utility``, reproduced exactly, operation
     for operation, which is how ``sweep`` evaluates its smart mode.
     """
+    import numpy as np
     M, m = ctx.M, miner.m
     if np.any(m > M):
         raise ValueError(f"miner power {m} exceeds total power {M}")
@@ -184,6 +188,7 @@ def sweep(xs, ys, mode: str) -> np.ndarray:
     call on the whole grid, with the float operations of the scalar call
     on ``_canonical(x, y)`` in each cell.
     """
+    import numpy as np
     if mode not in (MODE_SMART, MODE_SMARTER):
         raise ValueError(f"unknown sweep mode '{mode}'")
     xs = np.fromiter(map(float, xs), dtype=float)

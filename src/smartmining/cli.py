@@ -5,9 +5,10 @@ Subcommands: simulate (epoch traces as CSV + JSON summary), analyze
 sweep (ROI heatmap CSV over power and cost shares), security (attack report,
 optionally with an entrant effect).
 
-Exit codes: 0 success, 2 configuration or usage error, 3 model error
-(stalled epoch), 4 I/O error.  Every exit 2 prints a JSON list of messages
-on stderr, bad flag values included.  Outputs are byte-stable for identical inputs.
+Exit codes: 0 success, 2 configuration or usage error (an input too large
+for the available memory included), 3 model error (stalled epoch), 4 I/O
+error.  Every exit 2 prints a JSON list of messages on stderr, bad flag
+values included.  Outputs are byte-stable for identical inputs.
 """
 
 from __future__ import annotations
@@ -348,6 +349,10 @@ def main(argv=None) -> int:
         return EXIT_IO
     except (ValueError, ArithmeticError) as exc:
         print(json.dumps(getattr(exc, "errors", [str(exc)])), file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        # an input too large for this machine, such as a huge sweep grid
+        print(json.dumps([f"out of memory: {exc}" if str(exc) else "out of memory"]), file=sys.stderr)
         return EXIT_CONFIG
 
 

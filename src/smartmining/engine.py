@@ -25,6 +25,9 @@ from .model import (
 # Relative agreement required between consecutive periods before a steady
 # cycle is trusted (on H and t).
 _CYCLE_RTOL = 1e-12
+# Largest period (epochs x miners) that steady_cycle simulates: at about 170 B
+# per kept miner-epoch record, the bound caps the records near 700 MB.
+_MAX_CYCLE_MINER_EPOCHS = 2**22
 
 
 def step_epoch(k: int, H: float, active, coin, miners) -> tuple[EpochRecord, float]:
@@ -122,12 +125,19 @@ def steady_cycle(coin, miners, schedules) -> list[EpochRecord]:
     records are kept; of the period before it, only (k, H, t).
 
     Clamped coins are refused: the clamp can stretch transients arbitrarily,
-    so finite-horizon ``run`` is the right tool there.
+    so finite-horizon ``run`` is the right tool there.  A common period p
+    with p*N above 2**22 miner-epochs (N miners) is refused too: its records
+    alone would take gigabytes.
     """
     if coin.clamp is not None:
         raise ConfigurationError("steady-state analysis requires an unclamped coin; use run() instead")
     _check_scenario(coin, miners, schedules)
-    p = math.lcm(*(s.period for s in schedules))
+    periods = [s.period for s in schedules]
+    p = math.lcm(*periods)
+    if p * len(miners) > _MAX_CYCLE_MINER_EPOCHS:
+        raise ConfigurationError(
+            f"steady cycle too long: the schedule periods {periods} have lcm {p}, and "
+            f"{p} epochs x {len(miners)} miners exceeds {_MAX_CYCLE_MINER_EPOCHS} miner-epochs")
     epochs = _simulate(coin, miners, schedules, 3 * p)
     next(islice(epochs, p, p), None)   # consume the warm-up period
     second = [(rec.k, rec.H, rec.t) for rec in islice(epochs, p)]

@@ -4,15 +4,14 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .analytic import AggregateContext, SmarterPoint, roi, smarter_utility
 from .model import MinerParams
 
+# numpy loads inside the functions, as in analytic: the package and the CLI
+# import this module on every start, and only sweep and optimize need arrays
+
 # brute-force evaluation block; sized to keep the working set inside the cache
 _CHUNK = 131072
-# math.hypot elementwise: np.hypot rounds differently in the last place
-_hypot = np.frompyfunc(math.hypot, 2, 1)
 
 
 def optimal_idle(ctx: AggregateContext, miner: MinerParams) -> SmarterPoint:
@@ -44,6 +43,9 @@ def optimal_idle(ctx: AggregateContext, miner: MinerParams) -> SmarterPoint:
     A sole miner (m = M) is rejected: delta = m would idle the whole network
     and stall the reduced epoch, so ``smarter_utility`` requires delta < M.
     """
+    import numpy as np
+    # math.hypot elementwise: np.hypot rounds differently in the last place
+    hypot = np.frompyfunc(math.hypot, 2, 1)
     M, m = ctx.M, miner.m
     if not np.all((0 < m) & (m < M)):
         raise ValueError(f"deviating power must satisfy 0 < m < M, got m={m}, M={M}")
@@ -53,7 +55,7 @@ def optimal_idle(ctx: AggregateContext, miner: MinerParams) -> SmarterPoint:
     q1 = M * (m * r0 + M * g)
     q0 = -M * M * (g * (M - m) + miner.fc)
     b = q2 * M * M - q0
-    s = np.copysign(np.asarray(_hypot(b, q1 * M), dtype=float), q1)
+    s = np.copysign(np.asarray(hypot(b, q1 * M), dtype=float), q1)
     # stable quadratic formula: never add terms of opposite sign; np.where
     # also evaluates the branch it discards, and q1 == 0 has no root at all
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -78,6 +80,7 @@ def brute_force_idle(ctx: AggregateContext, miner: MinerParams, resolution: int)
     Slow but assumption-free; the independent yardstick for ``optimal_idle``.
     The first index wins ties, which is again the smallest idle power.
     """
+    import numpy as np
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
     deltas = np.linspace(0.0, miner.m, int(resolution) + 1)

@@ -3,12 +3,15 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import smartmining
 from smartmining.cli import main
 
 SMART_CONFIG = {
@@ -657,3 +660,87 @@ class TestCliContract:
         assert "Traceback" not in out.getvalue() + err.getvalue()
         if code != 0:
             json.loads(err.getvalue())
+
+
+# five miners, four of them deviating with periods 97, 89, 83 and 79: a common
+# period of 56606581 epochs, far beyond what steady_cycle will simulate
+LONG_CYCLE_CONFIG = {
+    "coin": {"tau": 600.0},
+    "miners": [{"id": f"m{i}", "m": 20.0, "fc": 0.0, "vc": 0.01} for i in range(5)],
+    "schedules": [{"miner_id": f"m{i}", "powers": [0.0] + [20.0] * (period - 1)}
+                  for i, period in enumerate((97, 89, 83, 79))],
+}
+
+_SRC = os.path.dirname(os.path.dirname(smartmining.__file__))
+# a fresh interpreter that imports the package (and with an argv the CLI, which
+# it runs), then prints the exit code and whether numpy was loaded
+_IMPORT_PROBE = """
+import json, sys
+argv = json.loads(sys.argv[1])
+import smartmining
+code = None
+if argv is not None:
+    import smartmining.cli
+    try:
+        code = smartmining.cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([code, "numpy" in sys.modules]))
+"""
+
+
+def _child(args, **kwargs):
+    """Run ``python args`` on this source tree in a fresh interpreter."""
+    # one OpenBLAS thread keeps numpy's own reservations small under an address-space cap
+    env = dict(os.environ, PYTHONPATH=_SRC, OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, **kwargs)
+
+
+class TestFreshProcess:
+    """Contract checks that need an interpreter of their own."""
+
+    @pytest.mark.parametrize("argv,code,numpy_loaded", [
+        (None, None, False),
+        (["--version"], 0, False),
+        (["--help"], 0, False),
+        (["analyze", "CONFIG", "--miner", "attacker"], 0, False),
+        (["security", "CONFIG"], 0, False),
+        (["security", "CONFIG", "--entrant", "10"], 0, False),
+        (["simulate", "CONFIG", "--epochs", "3", "--out", "OUT"], 0, False),
+        (["security", "BAD"], 2, False),
+        (["sweep", "--mode", "smart", "--nx", "2", "--ny", "2", "--out", "OUT"], 0, True),
+        (["optimize", "CONFIG", "--miner", "attacker"], 0, True),
+    ], ids=["import", "version", "help", "analyze", "security", "security-entrant", "simulate", "bad-config",
+            "sweep", "optimize"])
+    def test_numpy_loads_only_for_arrays(self, tmp_path, argv, code, numpy_loaded):
+        paths = {"CONFIG": _write_config(tmp_path, SMART_CONFIG),
+                 "BAD": _write_config(tmp_path, _patched(["miners"], 5), name="bad.json"),
+                 "OUT": str(tmp_path / "out")}
+        if argv is not None:
+            argv = [paths.get(a, a) for a in argv]
+        result = _child(["-c", _IMPORT_PROBE, json.dumps(argv)], timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout.splitlines()[-1]) == [code, numpy_loaded]
+
+    def test_out_of_memory_exits_2(self, tmp_path):
+        import resource
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (2 * 1024 ** 3, 2 * 1024 ** 3))
+
+        out = tmp_path / "x.csv"
+        # the 1e10-cell grid needs 74.5 GiB per array
+        result = _child(["-m", "smartmining.cli", "sweep", "--mode", "smart", "--nx", "100000", "--ny", "100000",
+                         "--out", str(out)], preexec_fn=cap_address_space, timeout=60)
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        errors = json.loads(result.stderr)
+        assert isinstance(errors, list) and any("out of memory" in e for e in errors), errors
+        assert not out.exists()
+
+    def test_overlong_steady_cycle_exits_2_at_once(self, tmp_path):
+        cfg = _write_config(tmp_path, LONG_CYCLE_CONFIG)
+        result = _child(["-m", "smartmining.cli", "security", cfg], timeout=30)
+        assert result.returncode == 2
+        errors = json.loads(result.stderr)
+        assert any("[97, 89, 83, 79]" in e and "lcm 56606581" in e and "5 miners" in e for e in errors), errors

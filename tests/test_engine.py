@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _scenarios import alternation, context_for, proportional_scenario
+from smartmining import engine
 from smartmining import (
     CoinParams,
     ConfigurationError,
@@ -230,6 +231,23 @@ class TestPeriodicUtility:
         schedules = [StrategySchedule("a", (0.0, 60.0)), StrategySchedule("b", (0.0, 40.0))]
         with pytest.raises(StalledEpochError):
             periodic_utility(coin, miners, schedules)
+
+    def test_cycle_bound_is_inclusive(self, monkeypatch):
+        # periods 2 and 3 with two miners: p*N = 6*2 = 12 miner-epochs
+        coin, miners = _coin(), _two_miners()
+        schedules = [StrategySchedule("a", (60.0, 0.0)), StrategySchedule("b", (20.0, 40.0, 40.0))]
+        monkeypatch.setattr(engine, "_MAX_CYCLE_MINER_EPOCHS", 12)
+        assert len(steady_cycle(coin, miners, schedules)) == 6
+        monkeypatch.setattr(engine, "_MAX_CYCLE_MINER_EPOCHS", 11)
+        with pytest.raises(ConfigurationError, match=r"periods \[2, 3\] have lcm 6, and 6 epochs x 2 miners"):
+            steady_cycle(coin, miners, schedules)
+
+    def test_cycle_just_over_the_bound_is_refused_before_simulating(self):
+        # lcm(2048, 1025) = 2099200 epochs x 2 miners = 4198400, just above 2**22
+        coin, miners = _coin(), _two_miners()
+        schedules = [StrategySchedule("a", (0.0,) + (60.0,) * 2047), StrategySchedule("b", (20.0,) + (40.0,) * 1024)]
+        with pytest.raises(ConfigurationError, match="lcm 2099200, and 2099200 epochs x 2 miners exceeds 4194304"):
+            steady_cycle(coin, miners, schedules)
 
     def test_steady_cycle_positions_follow_schedule(self):
         coin, miners = _coin(), _two_miners()
