@@ -110,8 +110,8 @@ def dominance(x: float, y: float) -> bool:
     power share ``x`` and fixed-cost share ``y``: true iff x*(1 - x) > y."""
     if not 0 < x < 1:
         raise ValueError(f"power share must lie in (0, 1), got {x}")
-    if not 0 <= y < 1:
-        raise ValueError(f"fixed-cost share must lie in [0, 1), got {y}")
+    if not 0 <= y <= 1:
+        raise ValueError(f"fixed-cost share must lie in [0, 1], got {y}")
     return x * (1 - x) > y
 
 

@@ -141,10 +141,13 @@ def _load_scenario(path):
     return coin, miners, schedules
 
 
-def _find_miner(miners, miner_id):
+def _load_market(path, miner_id):
+    """The aggregate market of a scenario config and its miner ``miner_id``:
+    returns (ctx, miner).  An unknown miner is reported before the market is built."""
+    coin, miners, _ = _load_scenario(path)
     for p in miners:
         if p.id == miner_id:
-            return p
+            return AggregateContext(M=total_power(miners), coin=coin), p
     raise ConfigurationError(f"unknown miner '{miner_id}'")
 
 
@@ -213,9 +216,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    coin, miners, _ = _load_scenario(args.config)
-    miner = _find_miner(miners, args.miner)
-    ctx = AggregateContext(M=total_power(miners), coin=coin)
+    ctx, miner = _load_market(args.config, args.miner)
     x = miner.m / ctx.M
     y = miner.fc / miner.cost_rate
     u = smart_utility(ctx, miner)
@@ -238,9 +239,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    coin, miners, _ = _load_scenario(args.config)
-    miner = _find_miner(miners, args.miner)
-    ctx = AggregateContext(M=total_power(miners), coin=coin)
+    ctx, miner = _load_market(args.config, args.miner)
     point = optimal_idle(ctx, miner)
     print(_json({
         "miner": miner.id,

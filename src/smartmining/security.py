@@ -12,9 +12,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .engine import periodic_utility, steady_cycle, trace_utilities
-from .model import MinerParams, StrategySchedule, total_power
-
-_ENTRANT_ID = "entrant"
+from .model import ConfigurationError, StrategySchedule, _finite, _workload_error, total_power
 
 
 class AttackReport(NamedTuple):
@@ -74,39 +72,33 @@ def bystander_gain(coin, miners, attacker_schedule: StrategySchedule, honest_id:
 
 
 def entry_effect(coin, miners, attacker_schedule: StrategySchedule, entrant_power: float) -> EntryEffect:
-    """Reduced-epoch revenue per hash before and after ``entrant_power``
-    joins only the high-revenue cycle positions.
+    """Reduced-epoch revenue per hash before and after ``entrant_power`` e
+    joins only the high-revenue positions of the steady cycle.
 
-    The entrant takes the positions where revenue per hash is maximal.  Its
-    power raises the workload retargeted onto the following reduced epoch, so
-    revenue per hash there drops by a factor A_hre/(A_hre + entrant_power)
-    while the reduced epoch's active power stays exactly unchanged.  Entrant
-    cost structure never enters revenue-per-hash dynamics, so only the power
-    is taken; its id is one that no miner uses.
+    Unclamped, H_j = tau*A_{j-1} over the cycle's total active powers A (index
+    -1 wraps to the last position).  The entrant makes A'_j = A_j + e wherever
+    revenue per hash is maximal and A'_j = A_j elsewhere, so after entry
+    rph'_j = w/(A'_{j-1}*tau): the simulation's own float operations, bit for
+    bit.  Revenue per hash in the reduced epoch drops by A_hre/(A_hre + e)
+    while its active power stays unchanged; the entrant's costs never enter.
     """
-    if not entrant_power >= 0:
-        raise ValueError(f"entrant power must be >= 0, got {entrant_power}")
-    before = steady_cycle(coin, miners, [attacker_schedule])
-    actives = [rec.total_active for rec in before]
+    if not (_finite(entrant_power) and entrant_power >= 0):
+        raise ValueError(f"entrant power must be >= 0 and finite, got {entrant_power}")
+    if error := _workload_error(total_power(miners) + entrant_power, coin):
+        raise ConfigurationError(error)
+    cycle = steady_cycle(coin, miners, [attacker_schedule])
+    actives = [rec.total_active for rec in cycle]
+    rphs = [rec.rph for rec in cycle]
     lre = actives.index(min(actives))
-    rphs = [rec.rph for rec in before]
     hre = rphs.index(max(rphs))
-    if entrant_power == 0:
-        after = before
-    else:
-        entrant_id = _ENTRANT_ID
-        while entrant_id in {p.id for p in miners}:
-            entrant_id += "_"
-        entrant = MinerParams(entrant_id, m=entrant_power, fc=0.0, vc=1.0)
-        joined = StrategySchedule(entrant_id, tuple(entrant_power if r == rphs[hre] else 0.0 for r in rphs))
-        after = steady_cycle(coin, list(miners) + [entrant], [attacker_schedule, joined])
+    after = [a + entrant_power if r == rphs[hre] else a for a, r in zip(actives, rphs)]
     return EntryEffect(
-        rph_lre_before=before[lre].rph,
-        rph_lre_after=after[lre].rph,
-        rph_hre_before=before[hre].rph,
-        rph_hre_after=after[hre].rph,
+        rph_lre_before=rphs[lre],
+        rph_lre_after=coin.w / (after[lre - 1] * coin.tau),
+        rph_hre_before=rphs[hre],
+        rph_hre_after=coin.w / (after[hre - 1] * coin.tau),
         lre_active_before=actives[lre],
-        lre_active_after=after[lre].total_active,
+        lre_active_after=after[lre],
     )
 
 

@@ -166,6 +166,8 @@ class TestDominance:
         assert dominance(0.20, 0.15) is True
         # strict inequality at the parabola's maximum
         assert dominance(0.5, 0.25) is False
+        # a miner without variable costs has fixed-cost share exactly 1
+        assert dominance(0.5, 1.0) is False
 
     def test_sign_characterization(self):
         for x in (0.05, 0.2, 0.45, 0.7):
@@ -175,7 +177,7 @@ class TestDominance:
                 if abs(x * (1 - x) - y) > 1e-12:
                     assert (u > 0) == dominance(x, y)
 
-    @pytest.mark.parametrize("x,y", [(0.0, 0.1), (1.0, 0.1), (-0.2, 0.1), (0.5, -0.1), (0.5, 1.0)])
+    @pytest.mark.parametrize("x,y", [(0.0, 0.1), (1.0, 0.1), (-0.2, 0.1), (0.5, -0.1), (0.5, 1.5)])
     def test_domain_errors(self, x, y):
         with pytest.raises(ValueError):
             dominance(x, y)

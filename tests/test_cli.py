@@ -88,6 +88,28 @@ SMART_SECURITY_GOLDEN = """\
 }
 """
 
+SMART_ENTRANT_GOLDEN = """\
+{
+  "lre_active_power": 80.0,
+  "idle_fraction": 0.2,
+  "attack_threshold": 0.4,
+  "per_miner_gain": {
+    "attacker": 0.0012195121951219454,
+    "rest": 0.07804878048780485
+  },
+  "entry_effect": {
+    "entrant_power": 10.0,
+    "rph_lre_before": 0.01,
+    "rph_lre_after": 0.00909090909090909,
+    "rph_lre_ratio": 0.9090909090909091,
+    "rph_hre_before": 0.0125,
+    "rph_hre_after": 0.0125,
+    "lre_active_before": 80.0,
+    "lre_active_after": 80.0
+  }
+}
+"""
+
 # every miner and tau at 1e-200: M*tau underflows to 0
 TINY_CONFIG = {
     "coin": {"tau": 1e-200},
@@ -282,6 +304,19 @@ class TestAnalyze:
         assert report["min_power_for_profit"] is None
         assert report["min_power_reason"] == "no power share suffices"
 
+    def test_zero_variable_cost_has_fixed_cost_share_one(self, tmp_path, capsys):
+        # y = fc/(fc + vc*m) is exactly 1 at vc = 0, and no power share profits
+        doc = dict(SMART_CONFIG, miners=[{"id": "fixed", "m": 20.0, "fc": 0.2, "vc": 0.0},
+                                         {"id": "rest", "m": 80.0, "fc": 0.0, "vc": 0.01}], schedules=[])
+        cfg = _write_config(tmp_path, doc)
+        assert main(["analyze", cfg, "--miner", "fixed"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["y"] == 1.0
+        assert report["dominance"] is False
+        assert report["smart_utility"] < 0
+        assert report["min_power_for_profit"] is None
+        assert report["min_power_reason"] == "no power share suffices"
+
     def test_unknown_miner_exits_2(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, SMART_CONFIG)
         assert main(["analyze", cfg, "--miner", "ghost"]) == 2
@@ -412,6 +447,12 @@ class TestSecurityCommand:
         assert main(["security", cfg]) == 0
         assert capsys.readouterr().out == SMART_SECURITY_GOLDEN
 
+    def test_entrant_report_golden_bytes(self, tmp_path, capsys):
+        # pins the entry_effect block's keys, their order and every value
+        cfg = _write_config(tmp_path, SMART_CONFIG)
+        assert main(["security", cfg, "--entrant", "10"]) == 0
+        assert capsys.readouterr().out == SMART_ENTRANT_GOLDEN
+
     def test_honest_report(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, HONEST_CONFIG)
         assert main(["security", cfg]) == 0
@@ -429,7 +470,7 @@ class TestSecurityCommand:
 
     @pytest.mark.parametrize("renames", [{"rest": "entrant"}, {"attacker": "entrant", "rest": "entrant_"}])
     def test_miner_ids_like_the_entrant_change_nothing(self, tmp_path, capsys, renames):
-        # the entrant takes an id that no miner uses, whatever the miners are called
+        # the entry effect depends on the miners' powers and schedules, never on their ids
         text = json.dumps(SMART_CONFIG)
         for old, new in renames.items():
             text = text.replace(f'"{old}"', f'"{new}"')
@@ -505,6 +546,8 @@ BAD_INPUTS = {
     "huge-integer-power": (_patched(["miners", 0, "m"], 10 ** 400), ["security"], "int too large"),
     "negative-entrant": (SMART_CONFIG, ["security", "--entrant", "-5"], "entrant power must be >= 0"),
     "nan-entrant": (SMART_CONFIG, ["security", "--entrant", "nan"], "got nan"),
+    "inf-entrant": (SMART_CONFIG, ["security", "--entrant", "inf"], "entrant power must be >= 0 and finite"),
+    "huge-entrant": (SMART_CONFIG, ["security", "--entrant", "1e308"], "M*tau"),
     "non-utf8-config": (b"\xff\xfe{}", ["security"], "config is not valid JSON"),
     "underflow-analyze": (TINY_CONFIG, ["analyze", "--miner", "attacker"], "M*tau = 2e-200*1e-200 underflows"),
     "underflow-optimize": (TINY_CONFIG, ["optimize", "--miner", "attacker"], "M*tau = 2e-200*1e-200 underflows"),

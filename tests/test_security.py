@@ -1,14 +1,60 @@
+import random
+
 import numpy as np
 import pytest
 
 from _scenarios import alternation, attack_trio
 from smartmining import (
+    CoinParams,
+    EntryEffect,
+    MinerParams,
     StrategySchedule,
     attack_threshold,
     bystander_gain,
+    calibrate_reward,
     entry_effect,
     security_report,
+    steady_cycle,
 )
+
+
+def _simulated_entry_effect(coin, miners, attacker_schedule, entrant_power):
+    """Oracle for ``entry_effect``: simulate a second steady cycle with a real
+    entrant miner, id "entrant", on the maximal-revenue positions of the first."""
+    before = steady_cycle(coin, miners, [attacker_schedule])
+    actives = [rec.total_active for rec in before]
+    lre = actives.index(min(actives))
+    rphs = [rec.rph for rec in before]
+    hre = rphs.index(max(rphs))
+    if entrant_power == 0:
+        after = before
+    else:
+        entrant = MinerParams("entrant", m=entrant_power, fc=0.0, vc=1.0)
+        joined = StrategySchedule("entrant", tuple(entrant_power if r == rphs[hre] else 0.0 for r in rphs))
+        after = steady_cycle(coin, list(miners) + [entrant], [attacker_schedule, joined])
+    return EntryEffect(
+        rph_lre_before=before[lre].rph,
+        rph_lre_after=after[lre].rph,
+        rph_hre_before=before[hre].rph,
+        rph_hre_after=after[hre].rph,
+        lre_active_before=actives[lre],
+        lre_active_after=after[lre].total_active,
+    )
+
+
+def _random_entry(rng):
+    """A random calibrated market, one deviation schedule on it, and an entrant power."""
+    miners = [MinerParams(f"m{j}", m=rng.uniform(0.1, 100.0), fc=rng.uniform(0.0, 1.0),
+                          vc=rng.uniform(0.001, 0.1)) for j in range(rng.randint(2, 12))]
+    tau = rng.choice([1e-3, 1.0, 600.0])
+    coin = CoinParams(tau=tau, epsilon=0.0, w=calibrate_reward(miners, tau, 0.0))
+    attacker = rng.choice(miners)
+    # repeated entries tie revenue per hash across several cycle positions
+    powers = tuple(rng.choice([0.0, attacker.m / 2, attacker.m, rng.uniform(0.0, attacker.m)])
+                   for _ in range(rng.randint(1, 9)))
+    schedule = StrategySchedule(attacker.id, powers, offset=rng.randint(0, 12))
+    entrant = rng.choice([0.0, 1e-300, 0.5, 10.0, rng.uniform(0.0, 100.0), 1e12])
+    return coin, miners, schedule, entrant
 
 
 class TestAttackThreshold:
@@ -101,6 +147,17 @@ class TestEntryEffect:
         coin, miners = attack_trio()
         with pytest.raises(ValueError):
             entry_effect(coin, miners, alternation(miners[0], 10.0), -1.0)
+
+    def test_closed_form_matches_simulated_entrant(self):
+        # the closed form reads the base cycle; the oracle simulates the entrant
+        rng = random.Random(20190)
+        entrants = set()
+        for _ in range(300):
+            coin, miners, schedule, entrant = _random_entry(rng)
+            assert entry_effect(coin, miners, schedule, entrant) == \
+                _simulated_entry_effect(coin, miners, schedule, entrant)
+            entrants.add(entrant)
+        assert {0.0, 1e-300, 1e12} <= entrants
 
     def test_phase_shifted_deviation_gives_same_effect(self):
         # the boosted-epoch detection follows the realized cycle, not the
