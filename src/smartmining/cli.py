@@ -185,14 +185,37 @@ def _write_text(path, text) -> None:
         fh.write(text)
 
 
+# Distinct floats a _ReprMemo holds before it starts over: above the few
+# thousand a periodic trace repeats, small enough that a trace whose values
+# never repeat costs a few MB more at most.
+_REPR_MEMO_CAP = 2**14
+
+
+class _ReprMemo(dict):
+    """``repr`` of each float, computed once per distinct value.  A zero is
+    never stored: 0.0 == -0.0 would share one key, but their reprs differ.
+    Look up floats only, since 1 == 1.0 too."""
+
+    def __missing__(self, x):
+        text = repr(x)
+        if x:
+            if len(self) >= _REPR_MEMO_CAP:
+                self.clear()
+            self[x] = text
+        return text
+
+
 def _write_trace_csv(path, trace, miners) -> None:
+    """Write one row per epoch, every float as its ``repr``.  Periodic schedules
+    repeat their values, so each distinct float is formatted once per call."""
     cols = ["k", "H", "t", "rph"] + [f"{p.id}_{c}" for p in miners for c in ("mhat", "R", "C", "P")]
+    text = _ReprMemo().__getitem__
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(cols) + "\n")
         for rec in trace.records:
-            cells = [str(rec.k), repr(rec.H), repr(rec.t), repr(rec.rph)]
+            cells = [str(rec.k), text(rec.H), text(rec.t), text(rec.rph)]
             for stats in rec.per_miner:
-                cells.extend(map(repr, stats[1:]))
+                cells.extend(map(text, stats[1:]))
             fh.write(",".join(cells) + "\n")
 
 

@@ -18,6 +18,7 @@ from .model import (
     MinerEpochStats,
     SimulationTrace,
     StalledEpochError,
+    ordered_sum,
     total_power,
     validate_scenario,
 )
@@ -52,7 +53,7 @@ def step_epoch(k: int, H: float, active, coin, miners) -> tuple[EpochRecord, flo
     for p, mhat in zip(miners, powers):
         if not 0 <= mhat <= p.m:
             raise ValueError(f"active power {mhat} outside [0, {p.m}] for miner '{p.id}'")
-    A = sum(powers)
+    A = ordered_sum(powers)
     if A <= 0:
         raise StalledEpochError(k)
     t = H / A

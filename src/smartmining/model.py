@@ -165,7 +165,7 @@ class EpochRecord(NamedTuple):
     @property
     def total_active(self) -> float:
         """Total hash power active during this epoch."""
-        return sum(s.active_power for s in self.per_miner)
+        return ordered_sum(s.active_power for s in self.per_miner)
 
 
 class SimulationTrace(NamedTuple):
@@ -177,9 +177,19 @@ class SimulationTrace(NamedTuple):
     horizon: int
 
 
+def ordered_sum(values):
+    """Sum of ``values`` added left to right from 0, as ``sum()`` added floats
+    before Python 3.12 made it compensated.  Every float sum of the model
+    uses this one order, so outputs do not depend on the interpreter."""
+    total = 0
+    for v in values:
+        total += v
+    return total
+
+
 def total_power(miners) -> float:
     """Aggregate hash capacity of a miner set."""
-    return sum(p.m for p in miners)
+    return ordered_sum(p.m for p in miners)
 
 
 def calibrate_reward(miners, tau: float, epsilon: float) -> float:
@@ -190,7 +200,7 @@ def calibrate_reward(miners, tau: float, epsilon: float) -> float:
         raise ConfigurationError("cannot calibrate a reward for an empty miner set")
     _require(_finite(tau) and tau > 0, f"tau must be finite and > 0, got {tau!r}")
     _require(_finite(epsilon) and epsilon >= 0, f"epsilon must be finite and >= 0, got {epsilon!r}")
-    return tau * sum(p.cost_rate + epsilon for p in miners)
+    return tau * ordered_sum(p.cost_rate + epsilon for p in miners)
 
 
 def validate_scenario(coin, miners, schedules=()) -> list[str]:

@@ -35,6 +35,16 @@ HONEST_CONFIG = {
 }
 
 
+# clamp 1.0001 against a 1e6-power miner that never mines: the workload falls
+# by the clamp ratio in every epoch, so H, t, rph, revenues and profits never repeat
+NO_REPEAT_CONFIG = {
+    "coin": {"tau": 600.0, "epsilon": 0.0, "clamp": 1.0001},
+    "reward": "calibrated",
+    "miners": [{"id": f"m{i:02d}", "m": 2.0 + 3.5 * i, "fc": 0.01 * (i + 1), "vc": 0.001 * (i + 1)}
+               for i in range(15)] + [{"id": "big", "m": 1e6, "fc": 0.1, "vc": 0.005}],
+    "schedules": [{"miner_id": "big", "powers": [0.0]}],
+}
+
 SMART_SUMMARY_GOLDEN = """\
 {
   "version": "0.1.0",
@@ -227,19 +237,33 @@ class TestSimulate:
                 assert float(row[base + 2]) == s.cost_rate
                 assert float(row[base + 3]) == s.profit_rate
 
-    def test_trace_csv_bytes_match_whole_file_join(self, tmp_path):
-        from smartmining import run
+    @pytest.mark.parametrize("case", ["clamped", "signed-zero-schedule", "no-repeats-small-memo"])
+    def test_trace_csv_bytes_match_whole_file_join(self, tmp_path, monkeypatch, case):
+        # the writer formats each distinct float once; the expected file calls
+        # repr on every cell
+        from smartmining import cli, run
         from smartmining.cli import _load_scenario
 
         doc = json.loads(json.dumps(HONEST_CONFIG))
-        doc["coin"]["clamp"] = 1.2
-        doc["schedules"] = [{"miner_id": "a", "powers": [10.0, 50.0, 35.5]}, {"miner_id": "c", "powers": [0.0, 20.0]}]
+        epochs = 40
+        if case == "clamped":
+            doc["coin"]["clamp"] = 1.2
+            doc["schedules"] = [{"miner_id": "a", "powers": [10.0, 50.0, 35.5]},
+                                {"miner_id": "c", "powers": [0.0, 20.0]}]
+        elif case == "signed-zero-schedule":
+            # 0.0 == -0.0, but epoch 1 writes 0.0 and epoch 2 writes -0.0
+            doc["schedules"] = [{"miner_id": "c", "powers": [0.0, -0.0, 20.0]}]
+        else:
+            # a memo of 8 values is cleared over and over
+            doc = NO_REPEAT_CONFIG
+            epochs = 300
+            monkeypatch.setattr(cli, "_REPR_MEMO_CAP", 8)
         cfg = _write_config(tmp_path, doc)
         out = tmp_path / "out"
-        assert main(["simulate", cfg, "--epochs", "40", "--out", str(out)]) == 0
+        assert main(["simulate", cfg, "--epochs", str(epochs), "--out", str(out)]) == 0
         coin, miners, schedules = _load_scenario(cfg)
         lines = [",".join(["k", "H", "t", "rph"] + [f"{p.id}_{c}" for p in miners for c in ("mhat", "R", "C", "P")])]
-        for rec in run(coin, miners, schedules, 40).records:
+        for rec in run(coin, miners, schedules, epochs).records:
             cells = [str(rec.k), repr(rec.H), repr(rec.t), repr(rec.rph)]
             for s in rec.per_miner:
                 cells += [repr(s.active_power), repr(s.revenue_rate), repr(s.cost_rate), repr(s.profit_rate)]

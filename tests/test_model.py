@@ -14,8 +14,11 @@ from smartmining import (
     SmarterPoint,
     StrategySchedule,
     calibrate_reward,
+    step_epoch,
+    total_power,
     validate_scenario,
 )
+from smartmining.model import ordered_sum
 
 # result types are named tuples; the CLI's CSV columns and JSON keys follow their field order
 _RESULT_FIELDS = {
@@ -147,6 +150,28 @@ class TestCalibrateReward:
         scaled = [MinerParams(p.id, p.m, p.fc * lam, p.vc * lam) for p in base]
         assert calibrate_reward(scaled, tau, 0.0) == pytest.approx(
             lam * calibrate_reward(base, tau, 0.0), rel=1e-12)
+
+
+class TestOrderedSum:
+    """Float sums add left to right from 0, as ``sum()`` did before Python 3.12
+    made it compensated, so outputs do not depend on the interpreter."""
+
+    def test_left_to_right_from_zero(self):
+        # 1.0 + 1e-16 rounds to 1.0 at each step; 1e-16 + 1e-16 first does not
+        assert ordered_sum([1.0, 1e-16, 1e-16]) == 1.0
+        assert ordered_sum([1e-16, 1e-16, 1.0]) == 1.0000000000000002
+        assert ordered_sum([]) == 0
+        assert repr(ordered_sum([-0.0])) == "0.0"
+
+    def test_three_miner_case_at_every_model_sum(self):
+        # a compensated sum makes M and A 1.0000000000000002, w 600.0000000000001
+        # and t 599.9999999999999
+        miners = [MinerParams("a", 1.0, 1.0, 0.0), MinerParams("b", 1e-16, 1e-16, 0.0),
+                  MinerParams("c", 1e-16, 1e-16, 0.0)]
+        assert total_power(miners) == 1.0
+        assert calibrate_reward(miners, 600.0, 0.0) == 600.0
+        rec, H_next = step_epoch(1, 600.0, {}, CoinParams(tau=600.0, epsilon=0.0, w=600.0), miners)
+        assert (rec.t, rec.total_active, H_next) == (600.0, 1.0, 600.0)
 
 
 class TestValidateScenario:
