@@ -19,6 +19,8 @@ import math
 import os
 import sys
 from dataclasses import asdict
+from itertools import chain
+from operator import itemgetter
 
 from . import __version__
 from .analytic import (
@@ -205,18 +207,25 @@ class _ReprMemo(dict):
         return text
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field, quoted as ``csv.writer`` does (QUOTE_MINIMAL)
+    when it holds a comma, a quote, CR or LF.  Python 3.11's writer leaves a
+    bare CR unquoted under a "\\n" line terminator, so the rule is spelled out."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _write_trace_csv(path, trace, miners) -> None:
     """Write one row per epoch, every float as its ``repr``.  Periodic schedules
     repeat their values, so each distinct float is formatted once per call."""
     cols = ["k", "H", "t", "rph"] + [f"{p.id}_{c}" for p in miners for c in ("mhat", "R", "C", "P")]
     text = _ReprMemo().__getitem__
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(cols) + "\n")
+        fh.write(",".join(map(_csv_field, cols)) + "\n")
         for rec in trace.records:
-            cells = [str(rec.k), text(rec.H), text(rec.t), text(rec.rph)]
-            for stats in rec.per_miner:
-                cells.extend(map(text, stats[1:]))
-            fh.write(",".join(cells) + "\n")
+            cells = chain(rec[1:4], chain.from_iterable(map(itemgetter(1, 2, 3, 4), rec.per_miner)))
+            fh.write(f"{rec.k},{','.join(map(text, cells))}\n")
 
 
 def _cmd_simulate(args) -> int:

@@ -18,6 +18,7 @@ from .model import (
     MinerEpochStats,
     SimulationTrace,
     StalledEpochError,
+    _require,
     ordered_sum,
     total_power,
     validate_scenario,
@@ -38,6 +39,10 @@ def step_epoch(k: int, H: float, active, coin, miners) -> tuple[EpochRecord, flo
     the map mine at full capacity.  The next workload is A*tau, clamped to
     [H/clamp, H*clamp] when the coin defines a clamp.
 
+    One pass over ``miners`` reads and range-checks each active power, so an
+    active power outside [0, m] raises ValueError naming the first such miner
+    in config order, before the stall check.
+
     Raises StalledEpochError when no power is active: the epoch would never
     complete and the utility of the run is undefined.  Raises ValueError for
     k < 1, an active power outside [0, m], a workload that is not > 0, a
@@ -49,10 +54,8 @@ def step_epoch(k: int, H: float, active, coin, miners) -> tuple[EpochRecord, flo
         raise ValueError(f"epoch index must be >= 1, got {k}")
     if H <= 0:
         raise ValueError(f"epoch {k}: epoch workload must be > 0, got {H}")
-    powers = [active.get(p.id, p.m) for p in miners]
-    for p, mhat in zip(miners, powers):
-        if not 0 <= mhat <= p.m:
-            raise ValueError(f"active power {mhat} outside [0, {p.m}] for miner '{p.id}'")
+    powers = [mhat if 0 <= (mhat := active.get(p.id, p.m)) <= p.m
+              else _require(False, f"active power {mhat} outside [0, {p.m}] for miner '{p.id}'") for p in miners]
     A = ordered_sum(powers)
     if A <= 0:
         raise StalledEpochError(k)
@@ -64,8 +67,9 @@ def step_epoch(k: int, H: float, active, coin, miners) -> tuple[EpochRecord, flo
     rph = coin.w / H
     if rph == math.inf:
         raise ValueError(f"epoch {k}: revenue per hash w/H = {coin.w!r}/{H!r} overflows: the workload is too small")
-    per = tuple([MinerEpochStats(p.id, mhat, (revenue := rph * mhat), (cost := p.fc + p.vc * mhat),
-                                 revenue - cost) for p, mhat in zip(miners, powers)])
+    # tuple.__new__ skips the Python frame of the namedtuple's generated __new__
+    per = tuple([tuple.__new__(MinerEpochStats, (p.id, mhat, (revenue := rph * mhat), (cost := p.fc + p.vc * mhat),
+                                                 revenue - cost)) for p, mhat in zip(miners, powers)])
     H_next = A * coin.tau
     if coin.clamp is not None:
         H_next = min(max(H_next, H / coin.clamp), H * coin.clamp)
@@ -85,20 +89,26 @@ def _simulate(coin, miners, schedules, horizon: int):
     other miner at full capacity.
     """
     H = total_power(miners) * coin.tau
+    plan = [(s.miner_id, s.powers, s.offset - 1, s.period) for s in schedules]   # StrategySchedule.power_at, inlined
     for k in range(1, horizon + 1):
-        record, H = step_epoch(k, H, {s.miner_id: s.power_at(k) for s in schedules}, coin, miners)
+        record, H = step_epoch(k, H, {mid: ps[(shift + k) % n] for mid, ps, shift, n in plan}, coin, miners)
         yield record
 
 
 def trace_utilities(records) -> dict[str, float]:
-    """Time-weighted average profit rate per miner over a record sequence."""
-    acc: dict[str, float] = {}
-    total_t = 0.0
-    for rec in records:
-        total_t += rec.t
-        for s in rec.per_miner:
-            acc[s.miner_id] = acc.get(s.miner_id, 0.0) + s.profit_rate * rec.t
-    return {mid: v / total_t for mid, v in acc.items()}
+    """Time-weighted average profit rate per miner over a sequence of records.
+
+    Every record must list the same miners in the same order, as the records
+    of one simulation do: the ids come from the first record, the rates add
+    by position, and a record with a different miner count raises ValueError.
+    """
+    if not records:
+        return {}
+    acc, total_t = [0.0] * len(records[0].per_miner), 0.0
+    for _k, _H, t, _rph, per_miner in records:
+        total_t += t
+        acc = [a + s.profit_rate * t for a, s in zip(acc, per_miner, strict=True)]
+    return {s.miner_id: a / total_t for s, a in zip(records[0].per_miner, acc)}
 
 
 def run(coin, miners, schedules, horizon: int) -> SimulationTrace:

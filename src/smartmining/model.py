@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, itemgetter
 from typing import NamedTuple
 
 
@@ -165,7 +167,7 @@ class EpochRecord(NamedTuple):
     @property
     def total_active(self) -> float:
         """Total hash power active during this epoch."""
-        return ordered_sum(s.active_power for s in self.per_miner)
+        return ordered_sum(map(itemgetter(1), self.per_miner))
 
 
 class SimulationTrace(NamedTuple):
@@ -181,10 +183,7 @@ def ordered_sum(values):
     """Sum of ``values`` added left to right from 0, as ``sum()`` added floats
     before Python 3.12 made it compensated.  Every float sum of the model
     uses this one order, so outputs do not depend on the interpreter."""
-    total = 0
-    for v in values:
-        total += v
-    return total
+    return reduce(add, values, 0)
 
 
 def total_power(miners) -> float:

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -269,6 +270,26 @@ class TestSimulate:
                 cells += [repr(s.active_power), repr(s.revenue_rate), repr(s.cost_rate), repr(s.profit_rate)]
             lines.append(",".join(cells))
         assert (out / "trace.csv").read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+    @pytest.mark.parametrize("ids", [("a,b", 'q"x\ny', "c"), ("c\rd", " e ", '""'), ("plain", "x\r\n", "y,")])
+    def test_trace_csv_header_quotes_ids(self, tmp_path, ids):
+        doc = json.loads(json.dumps(HONEST_CONFIG))
+        for miner, new_id in zip(doc["miners"], ids):
+            miner["id"] = new_id
+        cfg = _write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["simulate", cfg, "--epochs", "3", "--out", str(out)]) == 0
+        header = ["k", "H", "t", "rph"] + [f"{i}_{c}" for i in ids for c in ("mhat", "R", "C", "P")]
+        with open(out / "trace.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 4
+        assert all(len(row) == 4 + 4 * len(ids) for row in rows)
+        assert rows[0] == header
+        # the "\r\n" terminator makes csv.writer quote CR and LF on every Python version
+        expected = io.StringIO()
+        csv.writer(expected, lineterminator="\r\n").writerow(header)
+        text = (out / "trace.csv").read_bytes().decode("utf-8")
+        assert text.startswith(expected.getvalue()[:-2] + "\n1,")
 
     def test_summary_json_golden_bytes(self, tmp_path):
         # pins the key order that the summary takes from the input types

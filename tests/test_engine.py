@@ -16,6 +16,7 @@ from smartmining import (
     smart_utility,
     steady_cycle,
     step_epoch,
+    trace_utilities,
 )
 
 
@@ -64,6 +65,20 @@ class TestStepEpoch:
     def test_nan_active_power_rejected(self):
         with pytest.raises(ValueError, match="active power nan outside"):
             step_epoch(1, 60000.0, {"a": float("nan")}, _coin(), _two_miners())
+
+    def test_active_power_check_precedes_the_stall_check(self):
+        # the others idle, so A = -1.0 <= 0 would stall the epoch
+        miners = [MinerParams("a", 10.0, 0.1, 0.01), MinerParams("b", 20.0, 0.1, 0.01),
+                  MinerParams("c", 30.0, 0.1, 0.01)]
+        with pytest.raises(ValueError, match=r"^active power -1\.0 outside \[0, 20\.0\] for miner 'b'$"):
+            step_epoch(1, 60000.0, {"a": 0.0, "b": -1.0, "c": 0.0}, _coin(), miners)
+
+    def test_first_bad_miner_in_config_order_is_named(self):
+        miners = [MinerParams("a", 10.0, 0.1, 0.01), MinerParams("b", 20.0, 0.1, 0.01),
+                  MinerParams("c", 30.0, 0.1, 0.01)]
+        # the active map lists miner 3 first; config order decides
+        with pytest.raises(ValueError, match=r"^active power nan outside \[0, 10\.0\] for miner 'a'$"):
+            step_epoch(1, 60000.0, {"c": 31.0, "a": float("nan")}, _coin(), miners)
 
     def test_epoch_index_below_one_rejected(self):
         with pytest.raises(ValueError, match="epoch index must be >= 1, got 0"):
@@ -336,3 +351,48 @@ class TestStreamingSimulation:
             rec, H = step_epoch(k, H, active, coin, miners)
             expected.append(_bits(rec))
         assert [_bits(r) for r in run(coin, miners, schedules, 40).records] == expected
+
+
+def _dict_trace_utilities(records):
+    """The accumulator ``trace_utilities`` used before it added by position:
+    one dict entry per miner id."""
+    acc = {}
+    total_t = 0.0
+    for rec in records:
+        total_t += rec.t
+        for s in rec.per_miner:
+            acc[s.miner_id] = acc.get(s.miner_id, 0.0) + s.profit_rate * rec.t
+    return {mid: v / total_t for mid, v in acc.items()}
+
+
+_POWERS = st.sampled_from([0.0, -0.0]) | st.floats(0.0, 1.0)
+
+
+class TestTraceUtilities:
+    @given(
+        powers_a=st.lists(_POWERS.map(lambda f: 60.0 * f), min_size=1, max_size=4),
+        powers_b=st.lists(_POWERS.map(lambda f: 40.0 * f), min_size=1, max_size=3),
+        offset=st.integers(0, 5),
+        clamp=st.sampled_from([None, 1.05, 1.5]),
+        horizon=st.integers(1, 30),
+    )
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_matches_the_dict_accumulator(self, powers_a, powers_b, offset, clamp, horizon):
+        # an always-on third miner keeps every epoch's active power > 0
+        miners = _two_miners() + [MinerParams("c", 10.0, 0.02, 0.005)]
+        schedules = [StrategySchedule("a", tuple(powers_a), offset=offset), StrategySchedule("b", tuple(powers_b))]
+        records = run(_coin(clamp=clamp), miners, schedules, horizon).records
+        got = trace_utilities(records)
+        want = _dict_trace_utilities(records)
+        assert [(mid, u.hex()) for mid, u in got.items()] == [(mid, u.hex()) for mid, u in want.items()]
+
+    def test_no_records_give_no_utilities(self):
+        assert trace_utilities([]) == {}
+        assert trace_utilities(()) == {}
+
+    def test_records_of_different_miner_counts_raise(self):
+        two = run(_coin(), _two_miners(), [], 1).records[0]
+        three = run(_coin(), _two_miners() + [MinerParams("c", 10.0, 0.02, 0.005)], [], 1).records[0]
+        for records in ([two, three], [three, two]):
+            with pytest.raises(ValueError):
+                trace_utilities(records)

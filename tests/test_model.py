@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from smartmining import (
     SmarterPoint,
     StrategySchedule,
     calibrate_reward,
+    run,
     step_epoch,
     total_power,
     validate_scenario,
@@ -152,6 +154,19 @@ class TestCalibrateReward:
             lam * calibrate_reward(base, tau, 0.0), rel=1e-12)
 
 
+def _loop_sum(values):
+    """ordered_sum spelled as the loop it stands for."""
+    total = 0
+    for v in values:
+        total += v
+    return total
+
+
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+                                1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308])
+_SUMMANDS = _EDGE_FLOATS | st.floats()
+
+
 class TestOrderedSum:
     """Float sums add left to right from 0, as ``sum()`` did before Python 3.12
     made it compensated, so outputs do not depend on the interpreter."""
@@ -172,6 +187,28 @@ class TestOrderedSum:
         assert calibrate_reward(miners, 600.0, 0.0) == 600.0
         rec, H_next = step_epoch(1, 600.0, {}, CoinParams(tau=600.0, epsilon=0.0, w=600.0), miners)
         assert (rec.t, rec.total_active, H_next) == (600.0, 1.0, 600.0)
+
+    @given(st.lists(_SUMMANDS, max_size=12))
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_matches_an_explicit_loop(self, values):
+        want = repr(_loop_sum(values))
+        assert repr(ordered_sum(values)) == want
+        assert repr(ordered_sum(v for v in values)) == want
+
+    @given(st.lists(_SUMMANDS | _SUMMANDS.map(np.float64), max_size=12))
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_numpy_scalars_match_an_explicit_loop(self, values):
+        # perfbench's replay passes active powers read back as np.float64
+        with np.errstate(all="ignore"):
+            got, want = ordered_sum(values), _loop_sum(values)
+        assert (type(got), repr(got)) == (type(want), repr(want))
+
+    def test_epoch_duration_is_workload_over_total_active(self):
+        miners = [MinerParams("a", 30.0, 0.1, 0.006), MinerParams("b", 25.0, 0.05, 0.008),
+                  MinerParams("c", 1e-16, 0.0, 0.01), MinerParams("d", 25.0, 0.2, 0.002)]
+        schedules = [StrategySchedule("a", (0.0, 30.0, 12.3)), StrategySchedule("b", (25.0, 7.5), offset=1)]
+        for rec in run(CoinParams(tau=600.0, epsilon=0.001, w=700.0, clamp=1.3), miners, schedules, 24).records:
+            assert rec.t.hex() == (rec.H / rec.total_active).hex()
 
 
 class TestValidateScenario:
