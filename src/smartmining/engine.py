@@ -24,15 +24,12 @@ from .model import (
     validate_scenario,
 )
 
-# Relative agreement required between consecutive periods before a steady
-# cycle is trusted (on H and t).
-_CYCLE_RTOL = 1e-12
 # Largest period (epochs x miners) that steady_cycle simulates: at about 170 B
 # per kept miner-epoch record, the bound caps the records near 700 MB.
 _MAX_CYCLE_MINER_EPOCHS = 2**22
 
 
-def step_epoch(k: int, H: float, active, coin, miners) -> tuple[EpochRecord, float]:
+def step_epoch(k: int, H: float, active, coin, miners, *, rates: bool = True) -> tuple[EpochRecord, float]:
     """Advance one epoch and return (record, next workload).
 
     ``active`` maps miner id to this epoch's active power; miners absent from
@@ -49,6 +46,13 @@ def step_epoch(k: int, H: float, active, coin, miners) -> tuple[EpochRecord, flo
     duration H/A that is not > 0 (it can underflow to 0 after a tiny
     retarget) or overflows (on a tiny active power), or a revenue per hash
     w/H that overflows (after a retarget to a tiny H).
+
+    With ``rates=False`` the record's ``per_miner`` is empty: every check
+    above still runs, and (k, H, t, rph) and the next workload keep their
+    bits.  The knob exists for ``steady_cycle``, whose warm-up and check
+    periods are read for (H, t) only while the benchmark's reach gate still
+    counts its 3p calls; it goes with the three-period simulation (ROADMAP
+    item 2).
     """
     if k < 1:
         raise ValueError(f"epoch index must be >= 1, got {k}")
@@ -69,7 +73,7 @@ def step_epoch(k: int, H: float, active, coin, miners) -> tuple[EpochRecord, flo
         raise ValueError(f"epoch {k}: revenue per hash w/H = {coin.w!r}/{H!r} overflows: the workload is too small")
     # tuple.__new__ skips the Python frame of the namedtuple's generated __new__
     per = tuple([tuple.__new__(MinerEpochStats, (p.id, mhat, (revenue := rph * mhat), (cost := p.fc + p.vc * mhat),
-                                                 revenue - cost)) for p, mhat in zip(miners, powers)])
+                                                 revenue - cost)) for p, mhat in zip(miners, powers)]) if rates else ()
     H_next = A * coin.tau
     if coin.clamp is not None:
         H_next = min(max(H_next, H / coin.clamp), H * coin.clamp)
@@ -82,16 +86,18 @@ def _check_scenario(coin, miners, schedules) -> None:
         raise ConfigurationError(*errors)
 
 
-def _simulate(coin, miners, schedules, horizon: int):
+def _simulate(coin, miners, schedules, horizon: int, bare: int = 0):
     """Yield the records of epochs 1..horizon from the calibrated start H_1 = M*tau.
 
     The active map holds the scheduled miners only; ``step_epoch`` runs every
-    other miner at full capacity.
+    other miner at full capacity.  Epochs 1..bare are stepped without
+    per-miner rates.
     """
     H = total_power(miners) * coin.tau
     plan = [(s.miner_id, s.powers, s.offset - 1, s.period) for s in schedules]   # StrategySchedule.power_at, inlined
     for k in range(1, horizon + 1):
-        record, H = step_epoch(k, H, {mid: ps[(shift + k) % n] for mid, ps, shift, n in plan}, coin, miners)
+        record, H = step_epoch(k, H, {mid: ps[(shift + k) % n] for mid, ps, shift, n in plan}, coin, miners,
+                               rates=k > bare)
         yield record
 
 
@@ -131,9 +137,10 @@ def steady_cycle(coin, miners, schedules) -> list[EpochRecord]:
     Unclamped retargeting is exactly periodic after at most one period of
     warm-up, because H_{k+1} = A_k * tau depends on the schedule alone.  This
     simulates one warm-up period plus two more over the common period (lcm of
-    all schedule periods), verifies the two post-warm-up periods agree on
-    (H, t), and returns the final period's records.  Only that period's
-    records are kept; of the period before it, only (k, H, t).
+    all schedule periods), verifies that the two post-warm-up periods agree
+    on (H, t) bit for bit, and returns the final period's records.  The
+    warm-up and check periods are stepped without per-miner rates, and of
+    the check period only (k, H, t) is kept.
 
     Clamped coins are refused: the clamp can stretch transients arbitrarily,
     so finite-horizon ``run`` is the right tool there.  A common period p
@@ -149,12 +156,12 @@ def steady_cycle(coin, miners, schedules) -> list[EpochRecord]:
         raise ConfigurationError(
             f"steady cycle too long: the schedule periods {periods} have lcm {p}, and "
             f"{p} epochs x {len(miners)} miners exceeds {_MAX_CYCLE_MINER_EPOCHS} miner-epochs")
-    epochs = _simulate(coin, miners, schedules, 3 * p)
+    epochs = _simulate(coin, miners, schedules, 3 * p, bare=2 * p)
     next(islice(epochs, p, p), None)   # consume the warm-up period
     second = [(rec.k, rec.H, rec.t) for rec in islice(epochs, p)]
     cycle = list(epochs)
     for (k, H, t), b in zip(second, cycle):
-        if abs(H - b.H) > _CYCLE_RTOL * abs(b.H) or abs(t - b.t) > _CYCLE_RTOL * abs(b.t):
+        if (H, t) != (b.H, b.t):
             raise RuntimeError(f"no steady state after one warm-up period (epoch {k} vs {b.k})")
     return cycle
 

@@ -108,15 +108,20 @@ def security_report(coin, miners, schedules) -> AttackReport:
     Idle power is accounted at the minimum-activity epoch of the common
     period, the conservative bound when deviation periods are misaligned.
     Gains are each miner's steady-state utility over the margin epsilon.
+
+    The threshold is (1 - idle_fraction) / 2 on the reported fraction, the
+    float operations of ``attack_threshold``.  A weakest epoch whose active
+    power is positive but below about M*2**-53 leaves M - A rounded to M: it
+    reports an idle fraction of 1.0 and a threshold of 0.0.
     """
     cycle = steady_cycle(coin, miners, schedules)
     M = total_power(miners)
     lre_active = min(rec.total_active for rec in cycle)
-    idle_total = M - lre_active
+    idle_fraction = (M - lre_active) / M
     gains = {mid: u - coin.epsilon for mid, u in trace_utilities(cycle).items()}
     return AttackReport(
         lre_active_power=lre_active,
-        idle_fraction=idle_total / M,
-        attack_threshold=attack_threshold(M, idle_total),
+        idle_fraction=idle_fraction,
+        attack_threshold=(1 - idle_fraction) / 2,
         per_miner_gain=gains,
     )

@@ -548,6 +548,20 @@ class TestSecurityCommand:
         err = json.loads(capsys.readouterr().err)
         assert isinstance(err, list if code == 2 else dict)
 
+    @pytest.mark.parametrize("tiny", [1e-300, 1e-20])
+    def test_near_zero_weakest_epoch_reports_full_idle(self, tmp_path, capsys, tiny):
+        # M - A rounds to M = 100.0: every power is idle as far as floats can tell
+        doc = {"coin": {"tau": 600.0, "epsilon": 0.001}, "reward": "calibrated",
+               "miners": [{"id": mid, "m": 50.0, "fc": 0.1, "vc": 0.01} for mid in ("a", "b")],
+               "schedules": [{"miner_id": "a", "powers": [0.0, 50.0]}, {"miner_id": "b", "powers": [tiny, 50.0]}]}
+        assert main(["security", _write_config(tmp_path, doc)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["lre_active_power"], report["idle_fraction"], report["attack_threshold"]) == (tiny, 1.0, 0.0)
+        doc["schedules"][1]["powers"][0] = 1e-310
+        assert main(["security", _write_config(tmp_path, doc)]) == 2
+        assert json.loads(capsys.readouterr().err) == [
+            "epoch 1: duration H/A = 60000.0/1e-310 overflows: the active power is too small"]
+
     def test_clamped_coin_rejected_with_exit_2(self, tmp_path, capsys):
         # steady-state reports need an unclamped retarget
         doc = json.loads(json.dumps(SMART_CONFIG))

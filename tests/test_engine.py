@@ -107,6 +107,62 @@ class TestStepEpoch:
             run(coin, miners, [StrategySchedule("a", (0.0, 1e20))], 3)
 
 
+def _step_outcome(k, H, active, coin, miners, rates):
+    """The exact result of one ``step_epoch`` call: its fields as float hex
+    plus the per-miner rates, or the type and message it raised."""
+    try:
+        rec, H_next = step_epoch(k, H, active, coin, miners, rates=rates)
+    except (ValueError, StalledEpochError) as exc:
+        return type(exc), str(exc)
+    return rec.k, rec.H.hex(), rec.t.hex(), rec.rph.hex(), H_next.hex(), rec.per_miner
+
+
+# miner capacities from tiny (duration overflow) to huge (duration underflow)
+_CAPACITIES = st.sampled_from([1e-310, 1e-300, 1.0, 40.0, 1e20])
+# shares of capacity: +-0, inside [0, 1], and outside it (out-of-range powers)
+_SHARES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1.5, float("nan")]) | st.floats(0.0, 1.0)
+_STEP_MINERS = [MinerParams("a", 40.0, 0.1, 0.01), MinerParams("b", 1.0, 0.0, 1.0),
+                MinerParams("c", 1e-310, 1.0, 0.0)]
+
+
+class TestBareStep:
+    @given(
+        k=st.integers(0, 9),
+        H=st.sampled_from([-1.0, 0.0, -0.0, 1e-320, 1e-300, 1.0, 6e4, 1e300]) | st.floats(1e-3, 1e6),
+        capacities=st.lists(_CAPACITIES, min_size=1, max_size=3),
+        shares=st.lists(st.none() | _SHARES, min_size=3, max_size=3),
+        tau=st.sampled_from([1e-20, 600.0]),
+        w=st.sampled_from([1.0, 600.0, 1e300]),
+        clamp=st.sampled_from([None, 1.05, 4.0]),
+    )
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_matches_the_full_step(self, k, H, capacities, shares, tau, w, clamp):
+        miners = [MinerParams(p.id, m, p.fc, p.vc) for p, m in zip(_STEP_MINERS, capacities)]
+        active = {p.id: f * p.m for p, f in zip(miners, shares) if f is not None}
+        coin = CoinParams(tau=tau, epsilon=0.0, w=w, clamp=clamp)
+        full = _step_outcome(k, H, active, coin, miners, rates=True)
+        bare = _step_outcome(k, H, active, coin, miners, rates=False)
+        if len(full) == 2:   # raised
+            assert bare == full
+        else:
+            assert bare == full[:5] + ((),)
+
+    @pytest.mark.parametrize("k,H,capacity,active,w,fragment", [
+        (0, 6e4, 40.0, {}, 600.0, "epoch index must be >= 1"),
+        (1, -0.0, 40.0, {}, 600.0, "epoch workload must be > 0"),
+        (1, 6e4, 40.0, {"a": 60.0}, 600.0, "outside [0, 40.0]"),
+        (2, 6e4, 40.0, {"a": -0.0}, 600.0, "epoch 2 stalled"),
+        (1, 1e-320, 1e20, {}, 600.0, "epoch duration must be > 0"),
+        (1, 1e300, 1e-310, {}, 600.0, "duration H/A = 1e+300/1e-310 overflows"),
+        (3, 1e-320, 1.0, {}, 1.0, "revenue per hash w/H = 1.0/1e-320 overflows"),
+    ])
+    def test_raises_like_the_full_step(self, k, H, capacity, active, w, fragment):
+        miners, coin = [MinerParams("a", capacity, 0.1, 0.0)], CoinParams(tau=600.0, epsilon=0.0, w=w)
+        kind, message = _step_outcome(k, H, active, coin, miners, rates=False)
+        assert fragment in message
+        assert (kind, message) == _step_outcome(k, H, active, coin, miners, rates=True)
+
+
 class TestRun:
     def test_honest_equilibrium_each_epoch(self):
         coin, miners = proportional_scenario(0.3, 0.2, epsilon=0.0, M=100.0, tau=600.0)
@@ -339,6 +395,23 @@ class TestStreamingSimulation:
                 revenue, cost = rph * mhat, p.fc + p.vc * mhat
                 assert (s.miner_id, s.active_power, s.revenue_rate, s.cost_rate, s.profit_rate) == (
                     p.id, mhat, revenue, cost, revenue - cost)
+
+    def test_steady_cycle_steps_three_periods_and_keeps_rates_of_the_last(self, monkeypatch):
+        # the benchmark's reach gate counts 3p step_epoch calls per steady cycle
+        coin, miners, schedules = _three_period_scenario()
+        want = [_bits(r) for r in run(coin, miners, schedules, 90).records[60:]]
+        stepped = []
+
+        def counting(*args, **kwargs):
+            rec, H_next = step_epoch(*args, **kwargs)
+            stepped.append(rec)
+            return rec, H_next
+
+        monkeypatch.setattr(engine, "step_epoch", counting)
+        cycle = steady_cycle(coin, miners, schedules)
+        assert [rec.k for rec in stepped] == list(range(1, 91))
+        assert all(rec.per_miner == () for rec in stepped[:60])
+        assert [_bits(r) for r in cycle] == [_bits(r) for r in stepped[60:]] == want
 
     @pytest.mark.parametrize("clamp", [None, 1.1])
     def test_run_matches_hand_loop_with_full_active_map(self, clamp):
