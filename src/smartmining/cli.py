@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from dataclasses import asdict
 from itertools import chain
 from operator import itemgetter
@@ -187,26 +188,6 @@ def _write_text(path, text) -> None:
         fh.write(text)
 
 
-# Distinct floats a _ReprMemo holds before it starts over: above the few
-# thousand a periodic trace repeats, small enough that a trace whose values
-# never repeat costs a few MB more at most.
-_REPR_MEMO_CAP = 2**14
-
-
-class _ReprMemo(dict):
-    """``repr`` of each float, computed once per distinct value.  A zero is
-    never stored: 0.0 == -0.0 would share one key, but their reprs differ.
-    Look up floats only, since 1 == 1.0 too."""
-
-    def __missing__(self, x):
-        text = repr(x)
-        if x:
-            if len(self) >= _REPR_MEMO_CAP:
-                self.clear()
-            self[x] = text
-        return text
-
-
 def _csv_field(text: str) -> str:
     """``text`` as one CSV field, quoted as ``csv.writer`` does (QUOTE_MINIMAL)
     when it holds a comma, a quote, CR or LF.  Python 3.11's writer leaves a
@@ -217,15 +198,27 @@ def _csv_field(text: str) -> str:
 
 
 def _write_trace_csv(path, trace, miners) -> None:
-    """Write one row per epoch, every float as its ``repr``.  Periodic schedules
-    repeat their values, so each distinct float is formatted once per call."""
+    """Write one row per epoch, every float as its ``repr``.
+
+    ``run`` gives epochs of equal phase and workload one shared ``per_miner``
+    tuple, so the text after ``k`` is formatted once per (H, t, rph, shared
+    tuple); H, t and rph are > 0, so equal keys have equal reprs.  Text is
+    kept only for a tuple that more than one record holds: a trace that never
+    repeats holds no row text.
+    """
     cols = ["k", "H", "t", "rph"] + [f"{p.id}_{c}" for p in miners for c in ("mhat", "R", "C", "P")]
-    text = _ReprMemo().__getitem__
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    holders = Counter(map(id, map(itemgetter(4), trace.records)))
+    texts = {}
+    with open(path, "w", encoding="utf-8", newline="", buffering=1 << 20) as fh:
         fh.write(",".join(map(_csv_field, cols)) + "\n")
-        for rec in trace.records:
-            cells = chain(rec[1:4], chain.from_iterable(map(itemgetter(1, 2, 3, 4), rec.per_miner)))
-            fh.write(f"{rec.k},{','.join(map(text, cells))}\n")
+        for k, H, t, rph, per in trace.records:
+            key = (H, t, rph, id(per))
+            text = texts.get(key)
+            if text is None:
+                text = ",".join(map(repr, chain((H, t, rph), chain.from_iterable(map(itemgetter(1, 2, 3, 4), per)))))
+                if holders[id(per)] > 1:
+                    texts[key] = text
+            fh.write(f"{k},{text}\n")
 
 
 def _cmd_simulate(args) -> int:

@@ -4,7 +4,9 @@ Epoch k requires H_k hashes; with total active power A_k it lasts
 t_k = H_k / A_k, and the retarget sets H_{k+1} = (H_k / t_k) * tau, which is
 exactly A_k * tau.  Every downstream quantity (revenue per hash, per-miner
 rates) is a pure function of H_k and the active powers, so identical inputs
-reproduce bit-identical traces.
+reproduce bit-identical traces.  The active powers depend on k only through
+its phase k mod p (p the lcm of the schedule periods), so an epoch's record
+is a function of (phase, H_k) apart from its index k.
 """
 
 from __future__ import annotations
@@ -49,10 +51,9 @@ def step_epoch(k: int, H: float, active, coin, miners, *, rates: bool = True) ->
 
     With ``rates=False`` the record's ``per_miner`` is empty: every check
     above still runs, and (k, H, t, rph) and the next workload keep their
-    bits.  The knob exists for ``steady_cycle``, whose warm-up and check
-    periods are read for (H, t) only while the benchmark's reach gate still
-    counts its 3p calls; it goes with the three-period simulation (ROADMAP
-    item 2).
+    bits.  ``_simulate`` uses it for an epoch whose per-miner rates it already
+    holds, and for ``steady_cycle``'s warm-up and check periods, which are
+    read for (H, t) only.
     """
     if k < 1:
         raise ValueError(f"epoch index must be >= 1, got {k}")
@@ -92,12 +93,26 @@ def _simulate(coin, miners, schedules, horizon: int, bare: int = 0):
     The active map holds the scheduled miners only; ``step_epoch`` runs every
     other miner at full capacity.  Epochs 1..bare are stepped without
     per-miner rates.
+
+    Every epoch is stepped, in order, with every check.  An epoch whose
+    (phase, H) matches an earlier epoch stepped with rates is stepped bare and
+    takes that epoch's ``per_miner`` tuple, the same object; a stored H passed
+    the H > 0 check, so equal keys have equal bits.  Only epochs whose phase
+    recurs within the horizon are stored, so ``steady_cycle`` does no lookups.
     """
     H = total_power(miners) * coin.tau
     plan = [(s.miner_id, s.powers, s.offset - 1, s.period) for s in schedules]   # StrategySchedule.power_at, inlined
+    p = math.lcm(*(n for *_, n in plan))
+    shared = {}   # (k mod p, H) -> per_miner
     for k in range(1, horizon + 1):
-        record, H = step_epoch(k, H, {mid: ps[(shift + k) % n] for mid, ps, shift, n in plan}, coin, miners,
-                               rates=k > bare)
+        per = shared.get((k % p, H)) if shared else None
+        record, H_next = step_epoch(k, H, {mid: ps[(shift + k) % n] for mid, ps, shift, n in plan}, coin, miners,
+                                    rates=k > bare and per is None)
+        if per is not None:
+            record = EpochRecord(k, H, record.t, record.rph, per)
+        elif k > bare and k + p <= horizon:
+            shared[k % p, H] = record.per_miner
+        H = H_next
         yield record
 
 
@@ -122,7 +137,8 @@ def run(coin, miners, schedules, horizon: int) -> SimulationTrace:
 
     Miners without a schedule mine at full power every epoch.  Utilities are
     the finite-horizon time-weighted profit averages; for periodic schedules
-    they approach ``periodic_utility`` as the horizon grows.
+    they approach ``periodic_utility`` as the horizon grows.  Records of equal
+    phase and workload share one ``per_miner`` tuple (see ``_simulate``).
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")

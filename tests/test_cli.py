@@ -238,11 +238,11 @@ class TestSimulate:
                 assert float(row[base + 2]) == s.cost_rate
                 assert float(row[base + 3]) == s.profit_rate
 
-    @pytest.mark.parametrize("case", ["clamped", "signed-zero-schedule", "no-repeats-small-memo"])
-    def test_trace_csv_bytes_match_whole_file_join(self, tmp_path, monkeypatch, case):
-        # the writer formats each distinct float once; the expected file calls
+    @pytest.mark.parametrize("case", ["clamped", "signed-zero-schedule", "no-repeats"])
+    def test_trace_csv_bytes_match_whole_file_join(self, tmp_path, case):
+        # the writer formats each shared row once; the expected file calls
         # repr on every cell
-        from smartmining import cli, run
+        from smartmining import run
         from smartmining.cli import _load_scenario
 
         doc = json.loads(json.dumps(HONEST_CONFIG))
@@ -255,10 +255,9 @@ class TestSimulate:
             # 0.0 == -0.0, but epoch 1 writes 0.0 and epoch 2 writes -0.0
             doc["schedules"] = [{"miner_id": "c", "powers": [0.0, -0.0, 20.0]}]
         else:
-            # a memo of 8 values is cleared over and over
+            # no two epochs share a row, so every row is formatted on its own
             doc = NO_REPEAT_CONFIG
             epochs = 300
-            monkeypatch.setattr(cli, "_REPR_MEMO_CAP", 8)
         cfg = _write_config(tmp_path, doc)
         out = tmp_path / "out"
         assert main(["simulate", cfg, "--epochs", str(epochs), "--out", str(out)]) == 0
@@ -270,6 +269,28 @@ class TestSimulate:
                 cells += [repr(s.active_power), repr(s.revenue_rate), repr(s.cost_rate), repr(s.profit_rate)]
             lines.append(",".join(cells))
         assert (out / "trace.csv").read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+    def test_trace_writer_keeps_no_text_of_rows_that_never_repeat(self, tmp_path):
+        # a write's fixed cost (the file buffer) is what one epoch costs; on
+        # top of it the writer keeps counts per row, never the row's text
+        import tracemalloc
+
+        from smartmining import run
+        from smartmining.cli import _load_scenario, _write_trace_csv
+
+        coin, miners, schedules = _load_scenario(_write_config(tmp_path, NO_REPEAT_CONFIG))
+        peaks, sizes = [], []
+        for epochs in (1, 2000):
+            trace = run(coin, miners, schedules, epochs)
+            path = tmp_path / f"trace-{epochs}.csv"
+            tracemalloc.start()
+            try:
+                _write_trace_csv(path, trace, miners)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            sizes.append(path.stat().st_size)
+        assert peaks[1] - peaks[0] < (sizes[1] - sizes[0]) / 4
 
     @pytest.mark.parametrize("ids", [("a,b", 'q"x\ny', "c"), ("c\rd", " e ", '""'), ("plain", "x\r\n", "y,")])
     def test_trace_csv_header_quotes_ids(self, tmp_path, ids):

@@ -1,4 +1,6 @@
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from smartmining import (
     smart_utility,
     steady_cycle,
     step_epoch,
+    total_power,
     trace_utilities,
 )
 
@@ -424,6 +427,51 @@ class TestStreamingSimulation:
             rec, H = step_epoch(k, H, active, coin, miners)
             expected.append(_bits(rec))
         assert [_bits(r) for r in run(coin, miners, schedules, 40).records] == expected
+
+
+_SHARE_POWERS = st.sampled_from([0.0, -0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+class TestSharedRates:
+    @given(
+        powers_a=st.lists(_SHARE_POWERS.map(lambda f: 60.0 * f), min_size=1, max_size=4),
+        powers_b=st.lists(_SHARE_POWERS.map(lambda f: 40.0 * f), min_size=1, max_size=3),
+        offset=st.integers(0, 5),
+        clamp=st.sampled_from([None, 1.0001, 1.2, 4.0]),
+        idle_giant=st.booleans(),
+        periods=st.integers(1, 5),
+        extra=st.integers(0, 11),
+    )
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    def test_run_equals_the_plain_step_loop(self, powers_a, powers_b, offset, clamp, idle_giant, periods, extra):
+        # an always-on third miner keeps every epoch's active power > 0; an
+        # idle giant under clamp 1.0001 lowers the workload in every epoch, so
+        # that trace never repeats
+        miners = _two_miners() + [MinerParams("c", 10.0, 0.02, 0.005)]
+        schedules = [StrategySchedule("a", tuple(powers_a), offset=offset), StrategySchedule("b", tuple(powers_b))]
+        if idle_giant:
+            miners.append(MinerParams("giant", 1e6, 0.1, 0.005))
+            schedules.append(StrategySchedule("giant", (0.0,)))
+        coin = _coin(clamp=clamp)
+        period = math.lcm(*(s.period for s in schedules))
+        horizon = periods * period + extra
+        by_id = {s.miner_id: s for s in schedules}
+        H, expected = total_power(miners) * coin.tau, []
+        for k in range(1, horizon + 1):
+            active = {p.id: (by_id[p.id].power_at(k) if p.id in by_id else p.m) for p in miners}
+            rec, H = step_epoch(k, H, active, coin, miners, rates=True)
+            expected.append(rec)
+        trace = run(coin, miners, schedules, horizon)
+        assert [_bits(r) for r in trace.records] == [_bits(r) for r in expected]
+        assert [(mid, u.hex()) for mid, u in trace.utilities.items()] == [
+            (mid, u.hex()) for mid, u in trace_utilities(expected).items()]
+        records = trace.records
+        for a, b in zip(records, records[period:]):
+            if a.H == b.H:
+                assert a.per_miner is b.per_miner
+        phases = {}
+        for rec in records:
+            assert phases.setdefault(id(rec.per_miner), rec.k % period) == rec.k % period
 
 
 def _dict_trace_utilities(records):
