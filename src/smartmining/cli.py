@@ -200,11 +200,11 @@ def _csv_field(text: str) -> str:
 def _write_trace_csv(path, trace, miners) -> None:
     """Write one row per epoch, every float as its ``repr``.
 
-    ``run`` gives epochs of equal phase and workload one shared ``per_miner``
-    tuple, so the text after ``k`` is formatted once per (H, t, rph, shared
-    tuple); H, t and rph are > 0, so equal keys have equal reprs.  Text is
-    kept only for a tuple that more than one record holds: a trace that never
-    repeats holds no row text.
+    Records that hold the same ``per_miner`` object are equal apart from ``k``
+    (``engine._simulate`` shares the tuple only between epochs of equal phase
+    and workload), so the text after ``k`` is formatted once per shared
+    tuple.  Text is kept only for a tuple that more than one record holds: a
+    trace that never repeats holds no row text.
     """
     cols = ["k", "H", "t", "rph"] + [f"{p.id}_{c}" for p in miners for c in ("mhat", "R", "C", "P")]
     holders = Counter(map(id, map(itemgetter(4), trace.records)))
@@ -212,12 +212,11 @@ def _write_trace_csv(path, trace, miners) -> None:
     with open(path, "w", encoding="utf-8", newline="", buffering=1 << 20) as fh:
         fh.write(",".join(map(_csv_field, cols)) + "\n")
         for k, H, t, rph, per in trace.records:
-            key = (H, t, rph, id(per))
-            text = texts.get(key)
+            text = texts.get(id(per))
             if text is None:
                 text = ",".join(map(repr, chain((H, t, rph), chain.from_iterable(map(itemgetter(1, 2, 3, 4), per)))))
                 if holders[id(per)] > 1:
-                    texts[key] = text
+                    texts[id(per)] = text
             fh.write(f"{k},{text}\n")
 
 

@@ -31,7 +31,7 @@ from .model import (
 _MAX_CYCLE_MINER_EPOCHS = 2**22
 
 
-def step_epoch(k: int, H: float, active, coin, miners, *, rates: bool = True) -> tuple[EpochRecord, float]:
+def step_epoch(k: int, H: float, active, coin, miners, *, per_miner=None) -> tuple[EpochRecord, float]:
     """Advance one epoch and return (record, next workload).
 
     ``active`` maps miner id to this epoch's active power; miners absent from
@@ -49,11 +49,11 @@ def step_epoch(k: int, H: float, active, coin, miners, *, rates: bool = True) ->
     retarget) or overflows (on a tiny active power), or a revenue per hash
     w/H that overflows (after a retarget to a tiny H).
 
-    With ``rates=False`` the record's ``per_miner`` is empty: every check
-    above still runs, and (k, H, t, rph) and the next workload keep their
-    bits.  ``_simulate`` uses it for an epoch whose per-miner rates it already
-    holds, and for ``steady_cycle``'s warm-up and check periods, which are
-    read for (H, t) only.
+    A given ``per_miner`` tuple becomes the record's ``per_miner`` as it is,
+    the same object, in place of the rates this epoch would compute: every
+    check above still runs in the same order, and (k, H, t, rph) and the next
+    workload keep their bits.  ``_simulate`` passes the tuple of an earlier
+    epoch of equal phase and workload, whose rates are the same.
     """
     if k < 1:
         raise ValueError(f"epoch index must be >= 1, got {k}")
@@ -72,13 +72,15 @@ def step_epoch(k: int, H: float, active, coin, miners, *, rates: bool = True) ->
     rph = coin.w / H
     if rph == math.inf:
         raise ValueError(f"epoch {k}: revenue per hash w/H = {coin.w!r}/{H!r} overflows: the workload is too small")
-    # tuple.__new__ skips the Python frame of the namedtuple's generated __new__
-    per = tuple([tuple.__new__(MinerEpochStats, (p.id, mhat, (revenue := rph * mhat), (cost := p.fc + p.vc * mhat),
-                                                 revenue - cost)) for p, mhat in zip(miners, powers)]) if rates else ()
+    if per_miner is None:
+        # tuple.__new__ skips the Python frame of the namedtuple's generated __new__
+        per_miner = tuple([tuple.__new__(MinerEpochStats, (p.id, mhat, (revenue := rph * mhat),
+                                                           (cost := p.fc + p.vc * mhat), revenue - cost))
+                           for p, mhat in zip(miners, powers)])
     H_next = A * coin.tau
     if coin.clamp is not None:
         H_next = min(max(H_next, H / coin.clamp), H * coin.clamp)
-    return EpochRecord(k, H, t, rph, per), H_next
+    return EpochRecord(k, H, t, rph, per_miner), H_next
 
 
 def _check_scenario(coin, miners, schedules) -> None:
@@ -87,30 +89,27 @@ def _check_scenario(coin, miners, schedules) -> None:
         raise ConfigurationError(*errors)
 
 
-def _simulate(coin, miners, schedules, horizon: int, bare: int = 0):
+def _simulate(coin, miners, schedules, horizon: int):
     """Yield the records of epochs 1..horizon from the calibrated start H_1 = M*tau.
 
     The active map holds the scheduled miners only; ``step_epoch`` runs every
-    other miner at full capacity.  Epochs 1..bare are stepped without
-    per-miner rates.
+    other miner at full capacity.
 
     Every epoch is stepped, in order, with every check.  An epoch whose
-    (phase, H) matches an earlier epoch stepped with rates is stepped bare and
-    takes that epoch's ``per_miner`` tuple, the same object; a stored H passed
-    the H > 0 check, so equal keys have equal bits.  Only epochs whose phase
-    recurs within the horizon are stored, so ``steady_cycle`` does no lookups.
+    (phase, H) matches an earlier epoch gets that epoch's ``per_miner`` tuple,
+    the same object, so records holding one ``per_miner`` object are equal
+    apart from ``k``; a stored H passed the H > 0 check, so equal keys have
+    equal bits.  Only epochs whose phase recurs within the horizon are stored.
     """
     H = total_power(miners) * coin.tau
     plan = [(s.miner_id, s.powers, s.offset - 1, s.period) for s in schedules]   # StrategySchedule.power_at, inlined
     p = math.lcm(*(n for *_, n in plan))
     shared = {}   # (k mod p, H) -> per_miner
     for k in range(1, horizon + 1):
-        per = shared.get((k % p, H)) if shared else None
+        per = shared.get((k % p, H))
         record, H_next = step_epoch(k, H, {mid: ps[(shift + k) % n] for mid, ps, shift, n in plan}, coin, miners,
-                                    rates=k > bare and per is None)
-        if per is not None:
-            record = EpochRecord(k, H, record.t, record.rph, per)
-        elif k > bare and k + p <= horizon:
+                                    per_miner=per)
+        if per is None and k + p <= horizon:
             shared[k % p, H] = record.per_miner
         H = H_next
         yield record
@@ -150,13 +149,13 @@ def run(coin, miners, schedules, horizon: int) -> SimulationTrace:
 def steady_cycle(coin, miners, schedules) -> list[EpochRecord]:
     """One steady-state period of a periodic scenario.
 
-    Unclamped retargeting is exactly periodic after at most one period of
-    warm-up, because H_{k+1} = A_k * tau depends on the schedule alone.  This
-    simulates one warm-up period plus two more over the common period (lcm of
-    all schedule periods), verifies that the two post-warm-up periods agree
-    on (H, t) bit for bit, and returns the final period's records.  The
-    warm-up and check periods are stepped without per-miner rates, and of
-    the check period only (k, H, t) is kept.
+    Unclamped, H_{k+1} = A_k * tau depends on the schedule alone, so the only
+    transient is epoch 1, with H_1 = M*tau.  This simulates one warm-up period
+    plus two more over the common period (lcm of all schedule periods),
+    verifies that the two post-warm-up periods agree on (H, t) bit for bit,
+    and returns the final period's records, keeping only (k, H, t) of the
+    check period.  As in ``run``, per-miner rates are computed in the first
+    period and in epoch p+1; every later epoch shares them (``_simulate``).
 
     Clamped coins are refused: the clamp can stretch transients arbitrarily,
     so finite-horizon ``run`` is the right tool there.  A common period p
@@ -172,7 +171,7 @@ def steady_cycle(coin, miners, schedules) -> list[EpochRecord]:
         raise ConfigurationError(
             f"steady cycle too long: the schedule periods {periods} have lcm {p}, and "
             f"{p} epochs x {len(miners)} miners exceeds {_MAX_CYCLE_MINER_EPOCHS} miner-epochs")
-    epochs = _simulate(coin, miners, schedules, 3 * p, bare=2 * p)
+    epochs = _simulate(coin, miners, schedules, 3 * p)
     next(islice(epochs, p, p), None)   # consume the warm-up period
     second = [(rec.k, rec.H, rec.t) for rec in islice(epochs, p)]
     cycle = list(epochs)

@@ -10,6 +10,7 @@ from smartmining import engine
 from smartmining import (
     CoinParams,
     ConfigurationError,
+    MinerEpochStats,
     MinerParams,
     StalledEpochError,
     StrategySchedule,
@@ -110,11 +111,11 @@ class TestStepEpoch:
             run(coin, miners, [StrategySchedule("a", (0.0, 1e20))], 3)
 
 
-def _step_outcome(k, H, active, coin, miners, rates):
+def _step_outcome(k, H, active, coin, miners, **per_miner):
     """The exact result of one ``step_epoch`` call: its fields as float hex
     plus the per-miner rates, or the type and message it raised."""
     try:
-        rec, H_next = step_epoch(k, H, active, coin, miners, rates=rates)
+        rec, H_next = step_epoch(k, H, active, coin, miners, **per_miner)
     except (ValueError, StalledEpochError) as exc:
         return type(exc), str(exc)
     return rec.k, rec.H.hex(), rec.t.hex(), rec.rph.hex(), H_next.hex(), rec.per_miner
@@ -143,12 +144,16 @@ class TestBareStep:
         miners = [MinerParams(p.id, m, p.fc, p.vc) for p, m in zip(_STEP_MINERS, capacities)]
         active = {p.id: f * p.m for p, f in zip(miners, shares) if f is not None}
         coin = CoinParams(tau=tau, epsilon=0.0, w=w, clamp=clamp)
-        full = _step_outcome(k, H, active, coin, miners, rates=True)
-        bare = _step_outcome(k, H, active, coin, miners, rates=False)
+        given = (MinerEpochStats("x", 1.0, 2.0, 3.0, -1.0),)
+        full = _step_outcome(k, H, active, coin, miners)
+        bare = _step_outcome(k, H, active, coin, miners, per_miner=())
+        shared = _step_outcome(k, H, active, coin, miners, per_miner=given)
         if len(full) == 2:   # raised
-            assert bare == full
+            assert bare == shared == full
         else:
             assert bare == full[:5] + ((),)
+            assert shared == full[:5] + (given,)
+            assert shared[5] is given
 
     @pytest.mark.parametrize("k,H,capacity,active,w,fragment", [
         (0, 6e4, 40.0, {}, 600.0, "epoch index must be >= 1"),
@@ -161,9 +166,9 @@ class TestBareStep:
     ])
     def test_raises_like_the_full_step(self, k, H, capacity, active, w, fragment):
         miners, coin = [MinerParams("a", capacity, 0.1, 0.0)], CoinParams(tau=600.0, epsilon=0.0, w=w)
-        kind, message = _step_outcome(k, H, active, coin, miners, rates=False)
+        kind, message = _step_outcome(k, H, active, coin, miners, per_miner=())
         assert fragment in message
-        assert (kind, message) == _step_outcome(k, H, active, coin, miners, rates=True)
+        assert (kind, message) == _step_outcome(k, H, active, coin, miners)
 
 
 class TestRun:
@@ -399,21 +404,26 @@ class TestStreamingSimulation:
                 assert (s.miner_id, s.active_power, s.revenue_rate, s.cost_rate, s.profit_rate) == (
                     p.id, mhat, revenue, cost, revenue - cost)
 
-    def test_steady_cycle_steps_three_periods_and_keeps_rates_of_the_last(self, monkeypatch):
+    def test_steady_cycle_steps_3p_and_computes_p_plus_1_rates(self, monkeypatch):
         # the benchmark's reach gate counts 3p step_epoch calls per steady cycle
         coin, miners, schedules = _three_period_scenario()
         want = [_bits(r) for r in run(coin, miners, schedules, 90).records[60:]]
-        stepped = []
+        stepped, computed = [], []
 
-        def counting(*args, **kwargs):
-            rec, H_next = step_epoch(*args, **kwargs)
+        def counting(*args, per_miner=None, **kwargs):
+            rec, H_next = step_epoch(*args, per_miner=per_miner, **kwargs)
             stepped.append(rec)
+            if per_miner is None:
+                computed.append(rec)
             return rec, H_next
 
         monkeypatch.setattr(engine, "step_epoch", counting)
         cycle = steady_cycle(coin, miners, schedules)
         assert [rec.k for rec in stepped] == list(range(1, 91))
-        assert all(rec.per_miner == () for rec in stepped[:60])
+        # rates are computed in the first period and in epoch p+1 alone
+        assert len(computed) <= 31
+        built = {id(rec.per_miner) for rec in computed if rec.k <= 31}
+        assert all(id(rec.per_miner) in built for rec in cycle)
         assert [_bits(r) for r in cycle] == [_bits(r) for r in stepped[60:]] == want
 
     @pytest.mark.parametrize("clamp", [None, 1.1])
@@ -459,7 +469,7 @@ class TestSharedRates:
         H, expected = total_power(miners) * coin.tau, []
         for k in range(1, horizon + 1):
             active = {p.id: (by_id[p.id].power_at(k) if p.id in by_id else p.m) for p in miners}
-            rec, H = step_epoch(k, H, active, coin, miners, rates=True)
+            rec, H = step_epoch(k, H, active, coin, miners)
             expected.append(rec)
         trace = run(coin, miners, schedules, horizon)
         assert [_bits(r) for r in trace.records] == [_bits(r) for r in expected]
@@ -472,6 +482,36 @@ class TestSharedRates:
         phases = {}
         for rec in records:
             assert phases.setdefault(id(rec.per_miner), rec.k % period) == rec.k % period
+
+    @given(
+        shares=st.lists(st.lists(_SHARE_POWERS, min_size=1, max_size=6), min_size=1, max_size=3),
+        offsets=st.lists(st.integers(0, 7), min_size=3, max_size=3),
+        idle_last=st.booleans(),
+    )
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    def test_steady_cycle_equals_the_last_period_of_the_plain_step_loop(self, shares, offsets, idle_last):
+        # an always-on miner c keeps every epoch's active power > 0; with
+        # idle_last, miner e idles in the last phase of the common period, so
+        # H_{p+1} differs from the calibrated H_1
+        miners = [MinerParams("a", 60.0, 0.15, 0.0075), MinerParams("b", 40.0, 0.1, 0.0075),
+                  MinerParams("d", 25.0, 0.0, 0.01), MinerParams("c", 10.0, 0.02, 0.005)]
+        schedules = [StrategySchedule(p.id, tuple(p.m * f for f in fs), offset=o)
+                     for p, fs, o in zip(miners, shares, offsets)]
+        period = math.lcm(*(s.period for s in schedules))
+        if idle_last:
+            miners.append(MinerParams("e", 30.0, 0.05, 0.004))
+            schedules.append(StrategySchedule("e", (30.0,) * (period - 1) + (0.0,)))
+        coin = CoinParams(tau=600.0, epsilon=0.001, w=700.0)
+        by_id = {s.miner_id: s for s in schedules}
+        H, stepped = total_power(miners) * coin.tau, []
+        for k in range(1, 3 * period + 1):
+            active = {p.id: (by_id[p.id].power_at(k) if p.id in by_id else p.m) for p in miners}
+            rec, H = step_epoch(k, H, active, coin, miners)
+            stepped.append(rec)
+        want = stepped[2 * period:]
+        assert [_bits(r) for r in steady_cycle(coin, miners, schedules)] == [_bits(r) for r in want]
+        assert [(mid, u.hex()) for mid, u in periodic_utility(coin, miners, schedules).items()] == [
+            (mid, u.hex()) for mid, u in trace_utilities(want).items()]
 
 
 def _dict_trace_utilities(records):
