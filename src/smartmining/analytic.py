@@ -16,11 +16,10 @@ only on the power share x = m/M and the fixed-cost share y = fc/(vc*m + fc).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, NamedTuple
 
-from .model import CoinParams, MinerParams, _finite, _workload_error
+from .model import CoinParams, MinerParams, _finite, _require, _validating_make, _workload_error
 
 # numpy loads inside the array functions (smarter_utility, sweep), so that the
 # scalar closed forms and the CLI commands that build no array start without it
@@ -31,19 +30,18 @@ MODE_SMART = "smart"
 MODE_SMARTER = "smarter"
 
 
-@dataclass(frozen=True)
-class AggregateContext:
+class AggregateContext(NamedTuple("AggregateContext", [("M", float), ("coin", CoinParams)])):
     """Market aggregate a single miner is analyzed against: total hash power
     ``M`` plus the coin constants."""
 
-    M: float
-    coin: CoinParams
+    __slots__ = ()
+    _make = _validating_make
 
-    def __post_init__(self):
-        if not (_finite(self.M) and self.M > 0):
-            raise ValueError(f"total hash power must be finite and > 0, got {self.M}")
-        if error := _workload_error(self.M, self.coin):
+    def __new__(cls, M: float, coin: CoinParams):
+        _require(_finite(M) and M > 0, f"total hash power must be finite and > 0, got {M}")
+        if error := _workload_error(M, coin):
             raise ValueError(error)
+        return super().__new__(cls, M, coin)
 
 
 class SmarterPoint(NamedTuple):

@@ -19,7 +19,6 @@ import math
 import os
 import sys
 from collections import Counter
-from dataclasses import asdict
 from itertools import chain
 from operator import itemgetter
 
@@ -228,9 +227,9 @@ def _cmd_simulate(args) -> int:
     summary = _json({
         "version": __version__,
         "epochs": args.epochs,
-        "coin": asdict(coin),
-        "miners": [asdict(p) for p in miners],
-        "schedules": [asdict(s) for s in schedules],
+        "coin": coin._asdict(),
+        "miners": [p._asdict() for p in miners],
+        "schedules": [s._asdict() for s in schedules],
         "utilities": trace.utilities,
     })
     os.makedirs(args.out, exist_ok=True)

@@ -34,9 +34,10 @@ _MAX_CYCLE_MINER_EPOCHS = 2**22
 def step_epoch(k: int, H: float, active, coin, miners, *, per_miner=None) -> tuple[EpochRecord, float]:
     """Advance one epoch and return (record, next workload).
 
-    ``active`` maps miner id to this epoch's active power; miners absent from
-    the map mine at full capacity.  The next workload is A*tau, clamped to
-    [H/clamp, H*clamp] when the coin defines a clamp.
+    ``miners`` holds (id, m, fc, vc) records, such as ``MinerParams``, read
+    by position; ``active`` maps miner id to this epoch's active power, and
+    miners absent from the map mine at full capacity.  The next workload is
+    A*tau, clamped to [H/clamp, H*clamp] when the coin defines a clamp.
 
     One pass over ``miners`` reads and range-checks each active power, so an
     active power outside [0, m] raises ValueError naming the first such miner
@@ -59,8 +60,9 @@ def step_epoch(k: int, H: float, active, coin, miners, *, per_miner=None) -> tup
         raise ValueError(f"epoch index must be >= 1, got {k}")
     if H <= 0:
         raise ValueError(f"epoch {k}: epoch workload must be > 0, got {H}")
-    powers = [mhat if 0 <= (mhat := active.get(p.id, p.m)) <= p.m
-              else _require(False, f"active power {mhat} outside [0, {p.m}] for miner '{p.id}'") for p in miners]
+    powers = [mhat if 0 <= (mhat := active.get(mid, m)) <= m
+              else _require(False, f"active power {mhat} outside [0, {m}] for miner '{mid}'")
+              for mid, m, _, _ in miners]
     A = ordered_sum(powers)
     if A <= 0:
         raise StalledEpochError(k)
@@ -74,9 +76,9 @@ def step_epoch(k: int, H: float, active, coin, miners, *, per_miner=None) -> tup
         raise ValueError(f"epoch {k}: revenue per hash w/H = {coin.w!r}/{H!r} overflows: the workload is too small")
     if per_miner is None:
         # tuple.__new__ skips the Python frame of the namedtuple's generated __new__
-        per_miner = tuple([tuple.__new__(MinerEpochStats, (p.id, mhat, (revenue := rph * mhat),
-                                                           (cost := p.fc + p.vc * mhat), revenue - cost))
-                           for p, mhat in zip(miners, powers)])
+        per_miner = tuple([tuple.__new__(MinerEpochStats, (mid, mhat, (revenue := rph * mhat),
+                                                           (cost := fc + vc * mhat), revenue - cost))
+                           for (mid, _, fc, vc), mhat in zip(miners, powers)])
     H_next = A * coin.tau
     if coin.clamp is not None:
         H_next = min(max(H_next, H / coin.clamp), H * coin.clamp)
@@ -102,6 +104,8 @@ def _simulate(coin, miners, schedules, horizon: int):
     equal bits.  Only epochs whose phase recurs within the horizon are stored.
     """
     H = total_power(miners) * coin.tau
+    # exact tuples unpack on the interpreter's specialized path, which namedtuple field reads miss
+    miners = [tuple(p) for p in miners]
     plan = [(s.miner_id, s.powers, s.offset - 1, s.period) for s in schedules]   # StrategySchedule.power_at, inlined
     p = math.lcm(*(n for *_, n in plan))
     shared = {}   # (k mod p, H) -> per_miner

@@ -9,7 +9,6 @@ counts individual blocks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 from operator import add, itemgetter
 from typing import NamedTuple
@@ -56,8 +55,13 @@ def _workload_error(M: float, coin) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class MinerParams:
+# Input types subclass a plain NamedTuple and validate in __new__, which
+# typing.NamedTuple refuses in its own class body; _make goes through the
+# class, so that _replace validates too.
+_validating_make = classmethod(lambda cls, fields: cls(*fields))
+
+
+class MinerParams(NamedTuple("MinerParams", [("id", str), ("m", float), ("fc", float), ("vc", float)])):
     """One miner: hash power ``m`` plus a fixed cost rate ``fc`` (money per
     time unit, paid whether or not it mines) and a variable cost ``vc``
     (money per hash).
@@ -67,18 +71,17 @@ class MinerParams:
     the cost scale.
     """
 
-    id: str
-    m: float
-    fc: float
-    vc: float
+    __slots__ = ()
+    _make = _validating_make
 
-    def __post_init__(self):
-        _require(isinstance(self.id, str) and self.id != "", "miner id must be a non-empty string")
-        _require(_finite(self.m) and self.m > 0, f"hash power must be finite and > 0, got {self.m!r}")
-        _require(_finite(self.fc) and self.fc >= 0, f"fixed cost must be finite and >= 0, got {self.fc!r}")
-        _require(_finite(self.vc) and self.vc >= 0, f"variable cost must be finite and >= 0, got {self.vc!r}")
-        _require(0 < self.cost_rate < math.inf,
-                 f"miner '{self.id}' has total cost rate fc + vc*m = {self.cost_rate!r}; it must be finite and > 0")
+    def __new__(cls, id: str, m: float, fc: float, vc: float):
+        _require(isinstance(id, str) and id != "", "miner id must be a non-empty string")
+        _require(_finite(m) and m > 0, f"hash power must be finite and > 0, got {m!r}")
+        _require(_finite(fc) and fc >= 0, f"fixed cost must be finite and >= 0, got {fc!r}")
+        _require(_finite(vc) and vc >= 0, f"variable cost must be finite and >= 0, got {vc!r}")
+        _require(0 < (cost_rate := fc + vc * m) < math.inf,
+                 f"miner '{id}' has total cost rate fc + vc*m = {cost_rate!r}; it must be finite and > 0")
+        return super().__new__(cls, id, m, fc, vc)
 
     @property
     def cost_rate(self) -> float:
@@ -86,8 +89,8 @@ class MinerParams:
         return self.fc + self.vc * self.m
 
 
-@dataclass(frozen=True)
-class CoinParams:
+class CoinParams(NamedTuple("CoinParams", [("tau", float), ("epsilon", float), ("w", float),
+                                           ("clamp", float | None)])):
     """Coin-level constants: target epoch duration ``tau``, per-miner
     equilibrium margin ``epsilon``, total epoch reward ``w``, and an optional
     retarget clamp.
@@ -96,23 +99,20 @@ class CoinParams:
     [1/clamp, clamp]; ``None`` leaves the retarget unconstrained.
     """
 
-    tau: float
-    epsilon: float
-    w: float
-    clamp: float | None = None
+    __slots__ = ()
+    _make = _validating_make
 
-    def __post_init__(self):
-        _require(_finite(self.tau) and self.tau > 0, f"tau must be finite and > 0, got {self.tau!r}")
-        _require(_finite(self.epsilon) and self.epsilon >= 0,
-                 f"epsilon must be finite and >= 0, got {self.epsilon!r}")
-        _require(_finite(self.w) and self.w > 0, f"epoch reward must be finite and > 0, got {self.w!r}")
-        if self.clamp is not None:
-            _require(_finite(self.clamp) and self.clamp > 1,
-                     f"clamp must be a finite ratio > 1, got {self.clamp!r}")
+    def __new__(cls, tau: float, epsilon: float, w: float, clamp: float | None = None):
+        _require(_finite(tau) and tau > 0, f"tau must be finite and > 0, got {tau!r}")
+        _require(_finite(epsilon) and epsilon >= 0, f"epsilon must be finite and >= 0, got {epsilon!r}")
+        _require(_finite(w) and w > 0, f"epoch reward must be finite and > 0, got {w!r}")
+        if clamp is not None:
+            _require(_finite(clamp) and clamp > 1, f"clamp must be a finite ratio > 1, got {clamp!r}")
+        return super().__new__(cls, tau, epsilon, w, clamp)
 
 
-@dataclass(frozen=True)
-class StrategySchedule:
+class StrategySchedule(NamedTuple("StrategySchedule", [("miner_id", str), ("powers", tuple[float, ...]),
+                                                       ("offset", int)])):
     """Periodic per-epoch active-power sequence for one miner.
 
     Epoch ``k`` (1-based) uses ``powers[(offset + k - 1) % period]``.  Entries
@@ -120,20 +120,18 @@ class StrategySchedule:
     not here, because the schedule alone does not know the miner.
     """
 
-    miner_id: str
-    powers: tuple[float, ...]
-    offset: int = 0
+    __slots__ = ()
+    _make = _validating_make
 
-    def __post_init__(self):
-        powers = tuple(self.powers)
+    def __new__(cls, miner_id: str, powers, offset: int = 0):
+        powers = tuple(powers)
         for p in powers:
             _require(_finite(p) and p >= 0, f"schedule powers must be finite and >= 0, got {p!r}")
-        object.__setattr__(self, "powers", tuple(float(p) for p in powers))
-        _require(isinstance(self.miner_id, str) and self.miner_id != "",
-                 "schedule miner_id must be a non-empty string")
-        _require(len(self.powers) >= 1, "schedule needs at least one epoch entry")
-        _require(isinstance(self.offset, int) and not isinstance(self.offset, bool) and self.offset >= 0,
-                 f"offset must be an integer >= 0, got {self.offset!r}")
+        _require(isinstance(miner_id, str) and miner_id != "", "schedule miner_id must be a non-empty string")
+        _require(len(powers) >= 1, "schedule needs at least one epoch entry")
+        _require(isinstance(offset, int) and not isinstance(offset, bool) and offset >= 0,
+                 f"offset must be an integer >= 0, got {offset!r}")
+        return super().__new__(cls, miner_id, tuple(map(float, powers)), offset)
 
     @property
     def period(self) -> int:

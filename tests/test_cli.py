@@ -87,6 +87,52 @@ SMART_SUMMARY_GOLDEN = """\
 }
 """
 
+# SMART_CONFIG with a retarget clamp and a schedule offset: the summary
+# keeps the non-default clamp and offset values
+CLAMPED_OFFSET_CONFIG = dict(SMART_CONFIG, coin={"tau": 600.0, "epsilon": 0.0, "clamp": 1.2},
+                             schedules=[{"miner_id": "attacker", "powers": [0.0, 20.0], "offset": 1}])
+
+CLAMPED_OFFSET_SUMMARY_GOLDEN = """\
+{
+  "version": "0.1.0",
+  "epochs": 6,
+  "coin": {
+    "tau": 600.0,
+    "epsilon": 0.0,
+    "w": 600.0,
+    "clamp": 1.2
+  },
+  "miners": [
+    {
+      "id": "attacker",
+      "m": 20.0,
+      "fc": 0.03,
+      "vc": 0.0085
+    },
+    {
+      "id": "rest",
+      "m": 80.0,
+      "fc": 0.0,
+      "vc": 0.01
+    }
+  ],
+  "schedules": [
+    {
+      "miner_id": "attacker",
+      "powers": [
+        0.0,
+        20.0
+      ],
+      "offset": 1
+    }
+  ],
+  "utilities": {
+    "attacker": -0.007142857142857149,
+    "rest": 0.04155844155844154
+  }
+}
+"""
+
 SMART_SECURITY_GOLDEN = """\
 {
   "lre_active_power": 80.0,
@@ -312,12 +358,15 @@ class TestSimulate:
         text = (out / "trace.csv").read_bytes().decode("utf-8")
         assert text.startswith(expected.getvalue()[:-2] + "\n1,")
 
-    def test_summary_json_golden_bytes(self, tmp_path):
-        # pins the key order that the summary takes from the input types
-        cfg = _write_config(tmp_path, SMART_CONFIG)
+    @pytest.mark.parametrize("config,golden", [(SMART_CONFIG, SMART_SUMMARY_GOLDEN),
+                                                (CLAMPED_OFFSET_CONFIG, CLAMPED_OFFSET_SUMMARY_GOLDEN)],
+                             ids=["smart", "clamp-offset"])
+    def test_summary_json_golden_bytes(self, tmp_path, config, golden):
+        # pins the key order and the values that the summary takes from the input types
+        cfg = _write_config(tmp_path, config)
         out = tmp_path / "out"
         assert main(["simulate", cfg, "--epochs", "6", "--out", str(out)]) == 0
-        assert (out / "summary.json").read_bytes() == SMART_SUMMARY_GOLDEN.encode("utf-8")
+        assert (out / "summary.json").read_bytes() == golden.encode("utf-8")
 
     def test_duplicate_miner_id_exits_2(self, tmp_path, capsys):
         doc = json.loads(json.dumps(HONEST_CONFIG))
@@ -796,7 +845,7 @@ LONG_CYCLE_CONFIG = {
 
 _SRC = os.path.dirname(os.path.dirname(smartmining.__file__))
 # a fresh interpreter that imports the package (and with an argv the CLI, which
-# it runs), then prints the exit code and whether numpy was loaded
+# it runs), then prints the exit code and whether numpy and dataclasses were loaded
 _IMPORT_PROBE = """
 import json, sys
 argv = json.loads(sys.argv[1])
@@ -808,7 +857,7 @@ if argv is not None:
         code = smartmining.cli.main(argv)
     except SystemExit as exc:
         code = exc.code
-print(json.dumps([code, "numpy" in sys.modules]))
+print(json.dumps([code, "numpy" in sys.modules, "dataclasses" in sys.modules]))
 """
 
 
@@ -843,7 +892,11 @@ class TestFreshProcess:
             argv = [paths.get(a, a) for a in argv]
         result = _child(["-c", _IMPORT_PROBE, json.dumps(argv)], timeout=60)
         assert result.returncode == 0, result.stderr
-        assert json.loads(result.stdout.splitlines()[-1]) == [code, numpy_loaded]
+        exit_code, numpy_seen, dataclasses_seen = json.loads(result.stdout.splitlines()[-1])
+        assert [exit_code, numpy_seen] == [code, numpy_loaded]
+        # the input types are named tuples, so only numpy's import may load
+        # dataclasses (and with it inspect, ast, dis and tokenize)
+        assert numpy_loaded or not dataclasses_seen
 
     def test_out_of_memory_exits_2(self, tmp_path):
         import resource

@@ -148,6 +148,8 @@ class TestBareStep:
         full = _step_outcome(k, H, active, coin, miners)
         bare = _step_outcome(k, H, active, coin, miners, per_miner=())
         shared = _step_outcome(k, H, active, coin, miners, per_miner=given)
+        # step_epoch reads miners by position, so plain (id, m, fc, vc) tuples step alike
+        assert _step_outcome(k, H, active, coin, [tuple(p) for p in miners]) == full
         if len(full) == 2:   # raised
             assert bare == shared == full
         else:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smartmining import (
+    AggregateContext,
     AttackReport,
     CoinParams,
     ConfigurationError,
@@ -121,6 +122,37 @@ class TestStrategySchedule:
     def test_int_beyond_float_range_is_a_value_error(self):
         with pytest.raises(ValueError, match="must be finite"):
             StrategySchedule("a", (10 ** 400,))
+
+
+_COIN = CoinParams(tau=600.0, epsilon=0.0, w=1.0)
+
+
+class TestInputTypes:
+    # each input type: a valid value, its field order (the summary.json key
+    # order), one field set out of range and the constructor's message for it
+    @pytest.mark.parametrize("value,fields,field,bad,message", [
+        (MinerParams("a", m=10.0, fc=0.1, vc=0.01), ("id", "m", "fc", "vc"),
+         "m", -1.0, "hash power must be finite and > 0, got -1.0"),
+        (_COIN, ("tau", "epsilon", "w", "clamp"), "tau", -1.0, "tau must be finite and > 0, got -1.0"),
+        (StrategySchedule("a", (0.0, 5.0), offset=1), ("miner_id", "powers", "offset"),
+         "powers", (1.0, -2.0), "schedule powers must be finite and >= 0, got -2.0"),
+        (AggregateContext(M=100.0, coin=_COIN), ("M", "coin"),
+         "M", 0.0, "total hash power must be finite and > 0, got 0.0"),
+    ], ids=["MinerParams", "CoinParams", "StrategySchedule", "AggregateContext"])
+    def test_immutable_and_revalidated_on_replace(self, value, fields, field, bad, message):
+        cls = type(value)
+        with pytest.raises(AttributeError):
+            setattr(value, field, bad)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+        with pytest.raises(ValueError) as built:
+            cls(**dict(value._asdict(), **{field: bad}))
+        with pytest.raises(ValueError) as replaced:
+            value._replace(**{field: bad})
+        assert str(replaced.value) == str(built.value) == message
+        assert tuple(value._asdict()) == cls._fields == fields
+        assert tuple(value._asdict().values()) == tuple(value) == value
+        assert type(value._replace()) is cls and value._replace() == value
 
 
 class TestCalibrateReward:
