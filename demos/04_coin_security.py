@@ -60,7 +60,6 @@ sched = idle_schedule(deviator.m)
 print(f"{'entrant power':>14} {'rph weak epoch':>15} {'vs before':>10}")
 for power in (0.0, 5.0, 10.0, 20.0):
     eff = entry_effect(coin, miners, sched, power)
-    ratio = eff.rph_lre_after / eff.rph_lre_before
-    print(f"{power:>14.1f} {eff.rph_lre_after:>15.6f} {ratio:>10.4f}")
+    print(f"{power:>14.1f} {eff.rph_lre_after:>15.6f} {eff.rph_lre_ratio:>10.4f}")
 print("the entrant mines only the boosted epochs, so the workload retargeted")
 print("onto each weak epoch grows while its defenders stay at 80 power")

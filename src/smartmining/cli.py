@@ -70,13 +70,20 @@ def _objects(doc, key, errors):
     return []
 
 
+def _unknown_fields(where, entry, known):
+    """One message per key of the JSON object ``entry`` outside ``known``: a
+    misspelt key would otherwise be ignored and its default used."""
+    return [f"{where}: unknown field {key!r}" for key in entry if key not in known]
+
+
 def _load_scenario(path):
     """Parse and validate a scenario config; returns (coin, miners, schedules).
 
     Values reach the model types uncoerced, except that JSON numbers become
     floats.  Collects every problem it can find before failing so the error
     list is actionable in one pass, and reports each fault once: the checks
-    across sections run only on a miner section that parsed in full.
+    across sections run only on a miner section that parsed in full.  A key
+    that no section reads is a fault too, named by its path.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -91,6 +98,7 @@ def _load_scenario(path):
     errors = []
     miners = []
     for i, entry in enumerate(_objects(doc, "miners", errors)):
+        errors.extend(_unknown_fields(f"miners[{i}]", entry, MinerParams._fields))
         try:
             miners.append(MinerParams(id=entry["id"], m=_number(entry["m"]),
                                       fc=_number(entry["fc"]), vc=_number(entry["vc"])))
@@ -104,6 +112,7 @@ def _load_scenario(path):
 
     schedules = []
     for i, entry in enumerate(_objects(doc, "schedules", errors)):
+        errors.extend(_unknown_fields(f"schedules[{i}]", entry, StrategySchedule._fields))
         try:
             if not isinstance(entry["powers"], list):
                 raise ValueError(f"powers must be a list, got {entry['powers']!r}")
@@ -120,6 +129,7 @@ def _load_scenario(path):
     if not isinstance(coin_doc, dict):
         errors.append("missing 'coin' section")
     else:
+        errors.extend(_unknown_fields("coin", coin_doc, ("tau", "epsilon", "clamp")))
         try:
             tau = _number(coin_doc["tau"])
             epsilon = _number(coin_doc.get("epsilon", 0.0))
@@ -138,6 +148,7 @@ def _load_scenario(path):
 
     if miners_complete:
         errors.extend(validate_scenario(coin, miners, schedules))
+    errors.extend(_unknown_fields("config", doc, ("coin", "reward", "miners", "schedules")))
     if errors:
         raise ConfigurationError(*errors)
     return coin, miners, schedules
@@ -270,7 +281,7 @@ def _cmd_optimize(args) -> int:
         "delta_fraction": point.delta / miner.m,
         "utility": point.utility,
         "roi": point.roi,
-        "schedule": {"miner_id": miner.id, "powers": [miner.m - point.delta, miner.m], "offset": 0},
+        "schedule": StrategySchedule(miner.id, (miner.m - point.delta, miner.m))._asdict(),
     }))
     return EXIT_OK
 
@@ -299,16 +310,7 @@ def _cmd_security(args) -> int:
     eff = None if args.entrant is None else entry_effect(coin, miners, schedules[0], args.entrant)
     doc = security_report(coin, miners, schedules)._asdict()
     if eff is not None:
-        doc["entry_effect"] = {
-            "entrant_power": args.entrant,
-            "rph_lre_before": eff.rph_lre_before,
-            "rph_lre_after": eff.rph_lre_after,
-            "rph_lre_ratio": eff.rph_lre_after / eff.rph_lre_before,
-            "rph_hre_before": eff.rph_hre_before,
-            "rph_hre_after": eff.rph_hre_after,
-            "lre_active_before": eff.lre_active_before,
-            "lre_active_after": eff.lre_active_after,
-        }
+        doc["entry_effect"] = eff._asdict()
     print(_json(doc))
     return EXIT_OK
 

@@ -30,11 +30,14 @@ class BystanderGain(NamedTuple):
 
 
 class EntryEffect(NamedTuple):
-    """Reduced-epoch economics before and after an entrant joins only the
-    high-revenue epochs (the reward is deliberately not recalibrated)."""
+    """Reduced-epoch economics before and after an entrant of power
+    ``entrant_power`` joins only the high-revenue epochs (the reward is
+    deliberately not recalibrated); ``rph_lre_ratio`` is after over before."""
 
+    entrant_power: float
     rph_lre_before: float
     rph_lre_after: float
+    rph_lre_ratio: float
     rph_hre_before: float
     rph_hre_after: float
     lre_active_before: float
@@ -92,9 +95,12 @@ def entry_effect(coin, miners, attacker_schedule: StrategySchedule, entrant_powe
     lre = actives.index(min(actives))
     hre = rphs.index(max(rphs))
     after = [a + entrant_power if r == rphs[hre] else a for a, r in zip(actives, rphs)]
+    rph_lre_after = coin.w / (after[lre - 1] * coin.tau)
     return EntryEffect(
+        entrant_power=entrant_power,
         rph_lre_before=rphs[lre],
-        rph_lre_after=coin.w / (after[lre - 1] * coin.tau),
+        rph_lre_after=rph_lre_after,
+        rph_lre_ratio=rph_lre_after / rphs[lre],
         rph_hre_before=rphs[hre],
         rph_hre_after=coin.w / (after[hre - 1] * coin.tau),
         lre_active_before=actives[lre],

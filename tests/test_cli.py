@@ -466,6 +466,14 @@ class TestOptimize:
         assert main(["optimize", cfg, "--miner", "attacker"]) == 0
         assert capsys.readouterr().out == first
 
+    def test_schedule_block_pastes_into_the_config(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, SMART_CONFIG)
+        assert main(["optimize", cfg, "--miner", "attacker"]) == 0
+        schedule = json.loads(capsys.readouterr().out)["schedule"]
+        cfg = _write_config(tmp_path, dict(SMART_CONFIG, schedules=[schedule]), name="tuned.json")
+        assert main(["simulate", cfg, "--epochs", "4", "--out", str(tmp_path / "out")]) == 0
+        assert json.loads((tmp_path / "out" / "summary.json").read_text())["schedules"] == [schedule]
+
     def test_sole_miner_exits_2(self, tmp_path, capsys):
         # idling all of the network's power would stall the reduced epoch
         doc = {"coin": {"tau": 600.0, "epsilon": 0.0}, "miners": [SMART_CONFIG["miners"][0]]}
@@ -667,6 +675,11 @@ INFINITE_DURATION_CONFIG = {
 ZERO_WORKLOAD_CONFIG = dict(INFINITE_DURATION_CONFIG, miners=[
     {"id": "a", "m": 1e20, "fc": 0.0, "vc": 1e-20}, {"id": "b", "m": 1e-305, "fc": 1.0, "vc": 0.0}])
 
+# "schedule" for "schedules" and "clmap" for "clamp": read as they are, they
+# would leave an honest, unclamped market
+MISSPELT_CONFIG = {("schedule" if key == "schedules" else key): value
+                   for key, value in _patched(["coin", "clmap"], 4.0).items()}
+
 
 # (config document or raw bytes, or None for no config; argv after the config
 # path; a fragment one of the error messages must contain, or a tuple of them)
@@ -715,6 +728,12 @@ BAD_INPUTS = {
                                    "epoch 1: duration H/A = 1.0/1e-310 overflows"),
     "zero-workload-simulate": (ZERO_WORKLOAD_CONFIG, ["simulate", "--epochs", "3", "--out", "out"],
                                "epoch 2: epoch workload must be > 0, got 0.0"),
+    "misspelt-keys": (MISSPELT_CONFIG, ["security"],
+                      ("config: unknown field 'schedule'", "coin: unknown field 'clmap'")),
+    "unknown-miner-field": (_patched(["miners", 1, "power"], 80.0), ["analyze", "--miner", "rest"],
+                            "miners[1]: unknown field 'power'"),
+    "unknown-schedule-field": (_patched(["schedules", 0, "ofset"], 1), ["simulate", "--epochs", "3", "--out", "out"],
+                               "schedules[0]: unknown field 'ofset'"),
 }
 
 

@@ -510,6 +510,10 @@ class TestSharedRates:
             active = {p.id: (by_id[p.id].power_at(k) if p.id in by_id else p.m) for p in miners}
             rec, H = step_epoch(k, H, active, coin, miners)
             stepped.append(rec)
+        # the invariant steady_cycle rests on: past the warm-up period, every
+        # period repeats (H, t) bit for bit
+        assert [(r.H.hex(), r.t.hex()) for r in stepped[period:2 * period]] == [
+            (r.H.hex(), r.t.hex()) for r in stepped[2 * period:]]
         want = stepped[2 * period:]
         assert [_bits(r) for r in steady_cycle(coin, miners, schedules)] == [_bits(r) for r in want]
         assert [(mid, u.hex()) for mid, u in periodic_utility(coin, miners, schedules).items()] == [

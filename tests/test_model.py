@@ -30,8 +30,8 @@ _RESULT_FIELDS = {
     SimulationTrace: ("records", "utilities", "horizon"),
     SmarterPoint: ("delta", "utility", "roi"),
     AttackReport: ("lre_active_power", "idle_fraction", "attack_threshold", "per_miner_gain"),
-    EntryEffect: ("rph_lre_before", "rph_lre_after", "rph_hre_before", "rph_hre_after",
-                  "lre_active_before", "lre_active_after"),
+    EntryEffect: ("entrant_power", "rph_lre_before", "rph_lre_after", "rph_lre_ratio", "rph_hre_before",
+                  "rph_hre_after", "lre_active_before", "lre_active_after"),
 }
 
 

@@ -33,8 +33,10 @@ def _simulated_entry_effect(coin, miners, attacker_schedule, entrant_power):
         joined = StrategySchedule("entrant", tuple(entrant_power if r == rphs[hre] else 0.0 for r in rphs))
         after = steady_cycle(coin, list(miners) + [entrant], [attacker_schedule, joined])
     return EntryEffect(
+        entrant_power=entrant_power,
         rph_lre_before=before[lre].rph,
         rph_lre_after=after[lre].rph,
+        rph_lre_ratio=after[lre].rph / before[lre].rph,
         rph_hre_before=before[hre].rph,
         rph_hre_after=after[hre].rph,
         lre_active_before=actives[lre],
