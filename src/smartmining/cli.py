@@ -5,10 +5,11 @@ Subcommands: simulate (epoch traces as CSV + JSON summary), analyze
 sweep (ROI heatmap CSV over power and cost shares), security (attack report,
 optionally with an entrant effect).
 
-Exit codes: 0 success, 2 configuration or usage error (an input too large
-for the available memory included), 3 model error (stalled epoch), 4 I/O
-error.  Every exit 2 prints a JSON list of messages on stderr, bad flag
-values included.  Outputs are byte-stable for identical inputs.
+Exit codes: 0 success, 2 configuration or usage error (a config that
+cannot be read and an input too large for the available memory included),
+3 model error (stalled epoch), 4 an output that cannot be written.  Every
+exit 2 prints a JSON list of messages on stderr, bad flag values included.
+Outputs are byte-stable for identical inputs.
 """
 
 from __future__ import annotations
@@ -61,33 +62,55 @@ def _number(value):
     return value
 
 
-def _objects(doc, key, errors):
-    """The JSON objects listed under ``key``; a wrong shape adds an error and yields none."""
-    entries = doc.get(key, [])
-    if isinstance(entries, list) and all(isinstance(e, dict) for e in entries):
-        return entries
-    errors.append(f"'{key}' must be a list of JSON objects")
-    return []
+def _unique_keys(pairs):
+    """A JSON object's (key, value) pairs as a dict.  A repeated key raises
+    ValueError: ``json`` would keep its last value and drop the others silently."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
 
 
-def _unknown_fields(where, entry, known):
-    """One message per key of the JSON object ``entry`` outside ``known``: a
-    misspelt key would otherwise be ignored and its default used."""
-    return [f"{where}: unknown field {key!r}" for key in entry if key not in known]
+def _parse(errors, where, entry, fields, build):
+    """``build(entry)`` for the JSON object ``entry`` at path ``where``, or None
+    if it fails.  Each fault adds one message named by the path to ``errors``:
+    one per key outside ``fields`` (a misspelt key would otherwise be ignored
+    and its default used), then a missing field or a value the model rejects."""
+    errors.extend(f"{where}: unknown field {key!r}" for key in entry if key not in fields)
+    try:
+        return build(entry)
+    except KeyError as exc:
+        errors.append(f"{where}: missing field {exc}")
+    except (ValueError, ArithmeticError) as exc:
+        errors.append(f"{where}: {exc}")
+    return None
+
+
+def _schedule(entry):
+    """The schedule of a JSON object.  ``powers`` must be a list: a string
+    would be read character by character, and a number cannot be iterated."""
+    if not isinstance(entry["powers"], list):
+        raise ValueError(f"powers must be a list, got {entry['powers']!r}")
+    return StrategySchedule(miner_id=entry["miner_id"], powers=tuple(_number(p) for p in entry["powers"]),
+                            offset=entry.get("offset", 0))
 
 
 def _load_scenario(path):
     """Parse and validate a scenario config; returns (coin, miners, schedules).
 
     Values reach the model types uncoerced, except that JSON numbers become
-    floats.  Collects every problem it can find before failing so the error
-    list is actionable in one pass, and reports each fault once: the checks
-    across sections run only on a miner section that parsed in full.  A key
-    that no section reads is a fault too, named by its path.
+    floats.  Each miner, each schedule and the coin go through ``_parse`` with
+    their own builder.  Collects every problem it can find before failing so
+    the error list is actionable in one pass, and reports each fault once:
+    the checks across sections run only on a miner section that parsed in
+    full.  A key that no section reads, or one repeated within an object, is
+    a fault too.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigurationError(f"cannot read config: {exc}")
     except (ValueError, RecursionError) as exc:
@@ -96,59 +119,41 @@ def _load_scenario(path):
         raise ConfigurationError("config root must be a JSON object")
 
     errors = []
-    miners = []
-    for i, entry in enumerate(_objects(doc, "miners", errors)):
-        errors.extend(_unknown_fields(f"miners[{i}]", entry, MinerParams._fields))
-        try:
-            miners.append(MinerParams(id=entry["id"], m=_number(entry["m"]),
-                                      fc=_number(entry["fc"]), vc=_number(entry["vc"])))
-        except KeyError as exc:
-            errors.append(f"miners[{i}]: missing field {exc}")
-        except (ValueError, ArithmeticError) as exc:
-            errors.append(f"miners[{i}]: {exc}")
+
+    def entries(key, fields, build):
+        found = doc.get(key, [])
+        if not (isinstance(found, list) and all(isinstance(e, dict) for e in found)):
+            errors.append(f"'{key}' must be a list of JSON objects")
+            found = []
+        built = (_parse(errors, f"{key}[{i}]", e, fields, build) for i, e in enumerate(found))
+        return [value for value in built if value is not None]
+
+    def build_coin(entry):
+        tau, epsilon = _number(entry["tau"]), _number(entry.get("epsilon", 0.0))
+        reward = doc.get("reward", "calibrated")
+        if reward != "calibrated":
+            w = _number(reward)
+        else:
+            # with no miner to calibrate against (reported on its own), a
+            # stand-in reward still lets tau, epsilon and clamp be checked
+            w = calibrate_reward(miners, tau, epsilon) if miners else 1.0
+        return CoinParams(tau=tau, epsilon=epsilon, w=w, clamp=_number(entry.get("clamp")))
+
+    miners = entries("miners", MinerParams._fields, lambda e: MinerParams(
+        id=e["id"], m=_number(e["m"]), fc=_number(e["fc"]), vc=_number(e["vc"])))
     # a faulty miner section leaves the miner set incomplete, and checks
     # against an incomplete set would only repeat that fault
     miners_complete = not errors
-
-    schedules = []
-    for i, entry in enumerate(_objects(doc, "schedules", errors)):
-        errors.extend(_unknown_fields(f"schedules[{i}]", entry, StrategySchedule._fields))
-        try:
-            if not isinstance(entry["powers"], list):
-                raise ValueError(f"powers must be a list, got {entry['powers']!r}")
-            schedules.append(StrategySchedule(miner_id=entry["miner_id"],
-                                              powers=tuple(_number(p) for p in entry["powers"]),
-                                              offset=entry.get("offset", 0)))
-        except KeyError as exc:
-            errors.append(f"schedules[{i}]: missing field {exc}")
-        except (ValueError, ArithmeticError) as exc:
-            errors.append(f"schedules[{i}]: {exc}")
-
-    coin = None
-    coin_doc = doc.get("coin")
-    if not isinstance(coin_doc, dict):
-        errors.append("missing 'coin' section")
+    schedules = entries("schedules", StrategySchedule._fields, _schedule)
+    if isinstance(doc.get("coin"), dict):
+        coin = _parse(errors, "coin", doc["coin"], ("tau", "epsilon", "clamp"), build_coin)
     else:
-        errors.extend(_unknown_fields("coin", coin_doc, ("tau", "epsilon", "clamp")))
-        try:
-            tau = _number(coin_doc["tau"])
-            epsilon = _number(coin_doc.get("epsilon", 0.0))
-            reward = doc.get("reward", "calibrated")
-            if reward != "calibrated":
-                w = _number(reward)
-            else:
-                # with no miner to calibrate against (reported on its own), a
-                # stand-in reward still lets tau, epsilon and clamp be checked
-                w = calibrate_reward(miners, tau, epsilon) if miners else 1.0
-            coin = CoinParams(tau=tau, epsilon=epsilon, w=w, clamp=_number(coin_doc.get("clamp")))
-        except KeyError as exc:
-            errors.append(f"coin: missing field {exc}")
-        except (ValueError, ArithmeticError) as exc:
-            errors.append(f"coin: {exc}")
-
+        coin = None
+        errors.append("missing 'coin' section")
     if miners_complete:
         errors.extend(validate_scenario(coin, miners, schedules))
-    errors.extend(_unknown_fields("config", doc, ("coin", "reward", "miners", "schedules")))
+    errors.extend(f"config: unknown field {key!r}" for key in doc
+                  if key not in ("coin", "reward", "miners", "schedules"))
     if errors:
         raise ConfigurationError(*errors)
     return coin, miners, schedules

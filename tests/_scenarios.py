@@ -3,7 +3,9 @@
 The builders construct markets in the balanced-margin state: every miner's
 cost-plus-margin rate is proportional to its hash power, so at full
 participation each miner earns exactly the margin epsilon.  This is the state
-all deviation closed forms are derived against.
+all deviation closed forms are derived against.  ``NO_REPEAT_CONFIG`` is a
+scenario config document, shared with the CI step that compares outputs
+across Python versions.
 """
 
 from smartmining import (
@@ -52,3 +54,14 @@ def context_for(coin, miners) -> AggregateContext:
 def alternation(miner, delta, offset=0) -> StrategySchedule:
     """Period-2 schedule: idle ``delta`` of capacity, then full power."""
     return StrategySchedule(miner.id, (miner.m - delta, miner.m), offset=offset)
+
+
+# clamp 1.0001 against a 1e6-power miner that never mines: the workload falls
+# by the clamp ratio in every epoch, so H, t, rph, revenues and profits never repeat
+NO_REPEAT_CONFIG = {
+    "coin": {"tau": 600.0, "epsilon": 0.0, "clamp": 1.0001},
+    "reward": "calibrated",
+    "miners": [{"id": f"m{i:02d}", "m": 2.0 + 3.5 * i, "fc": 0.01 * (i + 1), "vc": 0.001 * (i + 1)}
+               for i in range(15)] + [{"id": "big", "m": 1e6, "fc": 0.1, "vc": 0.005}],
+    "schedules": [{"miner_id": "big", "powers": [0.0]}],
+}

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import smartmining
+from _scenarios import NO_REPEAT_CONFIG
 from smartmining.cli import main
 
 SMART_CONFIG = {
@@ -35,16 +36,6 @@ HONEST_CONFIG = {
     ],
 }
 
-
-# clamp 1.0001 against a 1e6-power miner that never mines: the workload falls
-# by the clamp ratio in every epoch, so H, t, rph, revenues and profits never repeat
-NO_REPEAT_CONFIG = {
-    "coin": {"tau": 600.0, "epsilon": 0.0, "clamp": 1.0001},
-    "reward": "calibrated",
-    "miners": [{"id": f"m{i:02d}", "m": 2.0 + 3.5 * i, "fc": 0.01 * (i + 1), "vc": 0.001 * (i + 1)}
-               for i in range(15)] + [{"id": "big", "m": 1e6, "fc": 0.1, "vc": 0.005}],
-    "schedules": [{"miner_id": "big", "powers": [0.0]}],
-}
 
 SMART_SUMMARY_GOLDEN = """\
 {
@@ -680,6 +671,12 @@ ZERO_WORKLOAD_CONFIG = dict(INFINITE_DURATION_CONFIG, miners=[
 MISSPELT_CONFIG = {("schedule" if key == "schedules" else key): value
                    for key, value in _patched(["coin", "clmap"], 4.0).items()}
 
+# raw bytes, as json.dumps cannot repeat a key; read last-wins, the second
+# "schedules" would drop the attacker's schedule and the second "clamp" the clamp
+DUPLICATE_SCHEDULES = (json.dumps(SMART_CONFIG)[:-1] + ', "schedules": []}').encode("utf-8")
+DUPLICATE_CLAMP = json.dumps(SMART_CONFIG).replace(
+    '"epsilon": 0.0}', '"epsilon": 0.0, "clamp": 4.0, "clamp": null}', 1).encode("utf-8")
+
 
 # (config document or raw bytes, or None for no config; argv after the config
 # path; a fragment one of the error messages must contain, or a tuple of them)
@@ -734,6 +731,8 @@ BAD_INPUTS = {
                             "miners[1]: unknown field 'power'"),
     "unknown-schedule-field": (_patched(["schedules", 0, "ofset"], 1), ["simulate", "--epochs", "3", "--out", "out"],
                                "schedules[0]: unknown field 'ofset'"),
+    "duplicate-top-level-key": (DUPLICATE_SCHEDULES, ["security"], "duplicate key 'schedules'"),
+    "duplicate-coin-key": (DUPLICATE_CLAMP, ["security"], "duplicate key 'clamp'"),
 }
 
 
@@ -788,11 +787,25 @@ class TestInputBoundary:
           "schedules[1]: schedule powers must be finite and >= 0, got -1.0"]),
         (dict(SMART_CONFIG, miners=[], schedules=[]), ["no miners defined"]),
         (_patched(["coin", "tau"], _MISSING), ["coin: missing field 'tau'"]),
+        (_patched(["miners", 0, "fc"], _MISSING), ["miners[0]: missing field 'fc'"]),
+        (_patched(["schedules", 0, "powers"], _MISSING), ["schedules[0]: missing field 'powers'"]),
+        (_patched(["coin"], _MISSING), ["missing 'coin' section"]),
+        (_patched([], [SMART_CONFIG]), ["config root must be a JSON object"]),
     ])
     def test_one_fault_one_message(self, tmp_path, capsys, doc, expected):
         cfg = _write_config(tmp_path, doc)
         assert main(["security", cfg]) == 2
         assert json.loads(capsys.readouterr().err) == expected
+
+    @pytest.mark.parametrize("name", ["missing.json", "."])
+    def test_unreadable_config_is_named(self, tmp_path, capsys, name):
+        # a missing file or a directory: the config is input, so exit 2, not
+        # the I/O exit 4 of an output that cannot be written
+        assert main(["security", str(tmp_path / name)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = json.loads(captured.err)
+        assert len(errors) == 1 and errors[0].startswith("cannot read config: "), errors
 
     def test_help_and_version_exit_0(self, capsys):
         for argv in (["--help"], ["--version"], ["security", "--help"]):

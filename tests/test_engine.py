@@ -444,6 +444,28 @@ class TestStreamingSimulation:
 _SHARE_POWERS = st.sampled_from([0.0, -0.0, 1.0]) | st.floats(0.0, 1.0)
 
 
+_CYCLE_SHARES = st.lists(st.lists(_SHARE_POWERS, min_size=1, max_size=6), min_size=1, max_size=3)
+_CYCLE_OFFSETS = st.lists(st.integers(0, 7), min_size=3, max_size=3)
+
+
+def _cycle_scenario(shares, offsets, idle_last):
+    """An unclamped scenario whose miners a, b and d mine the given shares of
+    their power from the given offsets; returns (coin, miners, schedules, p).
+
+    An always-on miner c keeps every epoch's active power > 0; with
+    ``idle_last``, miner e idles in the last phase of the common period p, so
+    H_{p+1} differs from the calibrated H_1."""
+    miners = [MinerParams("a", 60.0, 0.15, 0.0075), MinerParams("b", 40.0, 0.1, 0.0075),
+              MinerParams("d", 25.0, 0.0, 0.01), MinerParams("c", 10.0, 0.02, 0.005)]
+    schedules = [StrategySchedule(p.id, tuple(p.m * f for f in fs), offset=o)
+                 for p, fs, o in zip(miners, shares, offsets)]
+    period = math.lcm(*(s.period for s in schedules))
+    if idle_last:
+        miners.append(MinerParams("e", 30.0, 0.05, 0.004))
+        schedules.append(StrategySchedule("e", (30.0,) * (period - 1) + (0.0,)))
+    return CoinParams(tau=600.0, epsilon=0.001, w=700.0), miners, schedules, period
+
+
 class TestSharedRates:
     @given(
         powers_a=st.lists(_SHARE_POWERS.map(lambda f: 60.0 * f), min_size=1, max_size=4),
@@ -485,25 +507,10 @@ class TestSharedRates:
         for rec in records:
             assert phases.setdefault(id(rec.per_miner), rec.k % period) == rec.k % period
 
-    @given(
-        shares=st.lists(st.lists(_SHARE_POWERS, min_size=1, max_size=6), min_size=1, max_size=3),
-        offsets=st.lists(st.integers(0, 7), min_size=3, max_size=3),
-        idle_last=st.booleans(),
-    )
+    @given(_CYCLE_SHARES, _CYCLE_OFFSETS, st.booleans())
     @settings(max_examples=80, derandomize=True, deadline=None)
     def test_steady_cycle_equals_the_last_period_of_the_plain_step_loop(self, shares, offsets, idle_last):
-        # an always-on miner c keeps every epoch's active power > 0; with
-        # idle_last, miner e idles in the last phase of the common period, so
-        # H_{p+1} differs from the calibrated H_1
-        miners = [MinerParams("a", 60.0, 0.15, 0.0075), MinerParams("b", 40.0, 0.1, 0.0075),
-                  MinerParams("d", 25.0, 0.0, 0.01), MinerParams("c", 10.0, 0.02, 0.005)]
-        schedules = [StrategySchedule(p.id, tuple(p.m * f for f in fs), offset=o)
-                     for p, fs, o in zip(miners, shares, offsets)]
-        period = math.lcm(*(s.period for s in schedules))
-        if idle_last:
-            miners.append(MinerParams("e", 30.0, 0.05, 0.004))
-            schedules.append(StrategySchedule("e", (30.0,) * (period - 1) + (0.0,)))
-        coin = CoinParams(tau=600.0, epsilon=0.001, w=700.0)
+        coin, miners, schedules, period = _cycle_scenario(shares, offsets, idle_last)
         by_id = {s.miner_id: s for s in schedules}
         H, stepped = total_power(miners) * coin.tau, []
         for k in range(1, 3 * period + 1):
@@ -518,6 +525,20 @@ class TestSharedRates:
         assert [_bits(r) for r in steady_cycle(coin, miners, schedules)] == [_bits(r) for r in want]
         assert [(mid, u.hex()) for mid, u in periodic_utility(coin, miners, schedules).items()] == [
             (mid, u.hex()) for mid, u in trace_utilities(want).items()]
+
+    @given(_CYCLE_SHARES, _CYCLE_OFFSETS, st.booleans())
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    def test_steady_cycle_revenue_is_free_of_the_workload(self, shares, offsets, idle_last):
+        # R_ij*t_j = (w/H_j)*mhat_ij * H_j/A_j, so over the cycle each miner
+        # earns w * sum_j mhat_ij/A_j whatever the workloads H_j are
+        coin, miners, schedules, _ = _cycle_scenario(shares, offsets, idle_last)
+        cycle = steady_cycle(coin, miners, schedules)
+        for i in range(len(miners)):
+            earned = sum(rec.per_miner[i].revenue_rate * rec.t for rec in cycle)
+            identity = coin.w * sum(rec.per_miner[i].active_power / math.fsum(s.active_power for s in rec.per_miner)
+                                    for rec in cycle)
+            # a subnormal power carries an absolute, not a relative, rounding error
+            assert earned == pytest.approx(identity, rel=1e-12, abs=1e-300)
 
 
 def _dict_trace_utilities(records):
