@@ -144,6 +144,8 @@ def epoch_table_smart(ctx: AggregateContext, miner: MinerParams) -> dict[str, fl
     revenue per hash, long duration, profit rate -fc) and
     ``h_hre, t_hre, rph_hre, p_hre`` the full-power epoch retargeted down to
     (M - m)*tau.  The revenue-per-hash ratio rph_hre/rph_lre is M/(M - m).
+    A workload (M - m)*tau that underflows to 0 is a domain error: its price
+    w/h_hre would divide by 0.
     """
     M, m = ctx.M, miner.m
     if not 0 < m < M:
@@ -151,6 +153,8 @@ def epoch_table_smart(ctx: AggregateContext, miner: MinerParams) -> dict[str, fl
     w, tau = ctx.coin.w, ctx.coin.tau
     h_lre = M * tau
     h_hre = (M - m) * tau
+    if h_hre == 0:
+        raise ValueError(f"(M - m)*tau = {M - m!r}*{tau!r} underflows: the boosted epoch workload must be > 0")
     rph_hre = w / h_hre
     return {
         "h_lre": h_lre,

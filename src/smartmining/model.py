@@ -46,12 +46,18 @@ def _finite(x) -> bool:
 
 def _workload_error(M: float, coin) -> str | None:
     """Why the first epoch workload M*tau or its baseline price w/(M*tau) is
-    unusable, or None when the workload is finite and > 0 and the price finite."""
+    unusable, or None when both are finite and > 0.
+
+    No later epoch's workload exceeds M*tau, so no later price falls below
+    the baseline: a baseline price > 0 keeps every ratio of prices defined."""
     H = M * coin.tau
     if not 0 < H < math.inf:
         return f"M*tau = {M!r}*{coin.tau!r} underflows or overflows: the epoch workload must be > 0 and finite"
-    if coin.w / H == math.inf:
+    price = coin.w / H
+    if price == math.inf:
         return f"w/(M*tau) = {coin.w!r}/{H!r} overflows: the baseline price must be finite"
+    if price == 0:
+        return f"w/(M*tau) = {coin.w!r}/{H!r} underflows to 0: the baseline price must be > 0"
     return None
 
 

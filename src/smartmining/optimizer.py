@@ -17,22 +17,22 @@ _CHUNK = 131072
 def optimal_idle(ctx: AggregateContext, miner: MinerParams) -> SmarterPoint:
     """Idle power maximizing the partial-idle utility over [0, m], in closed form.
 
-    With R = M - delta, r0 = w/(M*tau) and g = r0 - vc, the utility is a ratio
-    of quadratics, u = Q(R)/(R^2 + M^2) with Q(R) = q2*R^2 + q1*R + q0 and
+    With rho = (M - delta)/M, r0 = w/(M*tau) and g = r0 - vc, the utility is a
+    ratio of quadratics, u = (q2*rho^2 + q1*rho + q0)/(rho^2 + 1) with
 
-        q2 = -(fc + vc*m),  q1 = M*(m*r0 + M*g),  q0 = -M^2*(g*(M - m) + fc).
+        q2 = -(fc + vc*m),  q1 = m*r0 + M*g,  q0 = -(g*(M - m) + fc).
 
-    In u' = 0 the cubic terms cancel, leaving the stationarity quadratic
-
-        q1*R^2 - 2*(q2*M^2 - q0)*R - q1*M^2 = 0,
-
-    whose roots multiply to -M^2: for q1 != 0 exactly one root R+ is
-    positive (for q1 == 0 the only root is R = 0, i.e. delta = M > m).  The
-    maximum therefore lies among the three candidates 0, M - R+ (kept only
-    when strictly inside (0, m)) and m, which are evaluated in ascending
-    order by a single ``smarter_utility`` call.  Exact utility ties resolve
-    to the smaller idle power, the lesser harm to coin security; delta = m
-    is evaluated operation for operation like ``smart_utility``.
+    Each coefficient is a money rate like u itself, so no intermediate
+    exceeds M times a price: the market scale M cancels instead of entering
+    cubed.  In u' = 0 the cubic terms cancel, leaving the stationarity
+    quadratic q1*rho^2 - 2*(q2 - q0)*rho - q1 = 0, whose roots multiply to
+    -1: for q1 != 0 exactly one root rho+ is positive (for q1 == 0 the only
+    root is rho = 0, i.e. delta = M > m).  The maximum therefore lies among
+    the three candidates 0, M*(1 - rho+) (kept only when strictly inside
+    (0, m)) and m, which are evaluated in ascending order by a single
+    ``smarter_utility`` call.  Exact utility ties resolve to the smaller idle
+    power, the lesser harm to coin security; delta = m is evaluated
+    operation for operation like ``smart_utility``.
 
     Broadcasts: ``M``, ``w``, ``tau``, ``m``, ``fc`` and ``vc`` may be numpy
     arrays of one common broadcast shape (``sweep`` passes a whole grid), and
@@ -52,19 +52,22 @@ def optimal_idle(ctx: AggregateContext, miner: MinerParams) -> SmarterPoint:
     r0 = ctx.coin.w / (M * ctx.coin.tau)
     g = r0 - miner.vc
     q2 = -miner.cost_rate
-    q1 = M * (m * r0 + M * g)
-    q0 = -M * M * (g * (M - m) + miner.fc)
-    b = q2 * M * M - q0
-    s = np.copysign(np.asarray(hypot(b, q1 * M), dtype=float), q1)
+    q1 = m * r0 + M * g
+    q0 = -(g * (M - m) + miner.fc)
+    b = q2 - q0
+    s = np.copysign(np.asarray(hypot(b, q1), dtype=float), q1)
     # stable quadratic formula: never add terms of opposite sign; np.where
     # also evaluates the branch it discards, and q1 == 0 has no root at all
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        r_plus = np.where(b * q1 >= 0, (b + s) / q1, -q1 * M * M / (b - s))
-        interior = M - r_plus
+        rho_plus = np.where(b * q1 >= 0, (b + s) / q1, -q1 / (b - s))
+        interior = M * (1 - rho_plus)
     inside = (q1 != 0) & (0.0 < interior) & (interior < m)
     # an excluded interior candidate evaluates at the honest point, then loses
     deltas = np.stack(np.broadcast_arrays(0.0, np.where(inside, interior, 0.0), m))
-    us = smarter_utility(ctx, miner, deltas)
+    # a utility beyond float range reads -inf and loses, or +inf or NaN and
+    # reaches the caller as a non-finite result, which the CLI reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        us = smarter_utility(ctx, miner, deltas)
     us[1] = np.where(inside, us[1], -np.inf)
     best = np.argmax(us, axis=0)[np.newaxis]
     delta = np.take_along_axis(deltas, best, axis=0)[0]

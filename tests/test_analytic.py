@@ -75,13 +75,6 @@ class TestSmartUtility:
         with pytest.raises(ValueError, match=r"w/\(M\*tau\) = .* overflows"):
             AggregateContext(M=1.0, coin=CoinParams(tau=1e-300, epsilon=0.0, w=1e300))
 
-    def test_engine_cross_check(self):
-        coin, miners = proportional_scenario(0.2, 0.15)
-        deviator = miners[0]
-        u = smart_utility(context_for(coin, miners), deviator)
-        simulated = periodic_utility(coin, miners, [alternation(deviator, deviator.m)])
-        assert simulated["deviator"] == pytest.approx(u, rel=1e-12)
-
 
 class TestSmarterUtility:
     def test_honest_endpoint_is_margin(self):

@@ -176,6 +176,28 @@ HUGE_PRICE_CONFIG = {
     "schedules": [{"miner_id": "a", "powers": [0.0, 0.5]}],
 }
 
+# w/(M*tau) = 1e-300/1e150 underflows to 0, and with it the price of every epoch
+TINY_PRICE_CONFIG = {
+    "coin": {"tau": 1e300},
+    "reward": 1e-300,
+    "miners": [{"id": "a", "m": 3e-151, "fc": 0.0, "vc": 1.0}, {"id": "b", "m": 7e-151, "fc": 0.1, "vc": 0.01}],
+    "schedules": [{"miner_id": "a", "powers": [0.0, 3e-151]}],
+}
+
+# M*tau = 1e-320 is subnormal, and the boosted epoch's (M - m)*tau = 1e-330 underflows to 0
+TINY_BOOST_CONFIG = {
+    "coin": {"tau": 1e-300},
+    "miners": [{"id": "a", "m": 1e-20, "fc": 0.1, "vc": 0.01}, {"id": "b", "m": 1e-30, "fc": 0.1, "vc": 0.01}],
+}
+
+# M^3 = 1e600 is beyond float range, while the interior optimum of miner "a"
+# (delta_fraction 0.34) needs no intermediate larger than M times a price
+LARGE_MARKET_CONFIG = {
+    "coin": {"tau": 1e-300},
+    "reward": 1.6,
+    "miners": [{"id": "a", "m": 6e199, "fc": 1e300, "vc": 1e100}, {"id": "b", "m": 4e199, "fc": 0.0, "vc": 1e100}],
+}
+
 # a finite baseline price, but the boosted epoch of miner "a" has (M - m)*tau = 1e-15
 HUGE_BOOST_CONFIG = {
     "coin": {"tau": 1.0},
@@ -715,6 +737,12 @@ BAD_INPUTS = {
     "price-overflow-security": (HUGE_PRICE_CONFIG, ["security"], "the baseline price must be finite"),
     "price-overflow-simulate": (HUGE_PRICE_CONFIG, ["simulate", "--epochs", "3", "--out", "out"],
                                 "the baseline price must be finite"),
+    "price-underflow-analyze": (TINY_PRICE_CONFIG, ["analyze", "--miner", "a"],
+                                "w/(M*tau) = 1e-300/1e+150 underflows to 0: the baseline price must be > 0"),
+    "price-underflow-entrant": (TINY_PRICE_CONFIG, ["security", "--entrant", "10"],
+                                "the baseline price must be > 0"),
+    "boost-workload-underflow": (TINY_BOOST_CONFIG, ["analyze", "--miner", "a"],
+                                 "underflows: the boosted epoch workload must be > 0"),
     "non-finite-result": (HUGE_BOOST_CONFIG, ["analyze", "--miner", "a"],
                           ("not JSON compliant", "epoch_table.rph_hre")),
     "infinite-price-simulate": (INFINITE_PRICE_CONFIG, ["simulate", "--epochs", "2", "--out", "out"],
@@ -845,25 +873,62 @@ def _invocations(draw):
     return doc, command, flags + draw(st.just([]) | st.lists(_TOKENS, min_size=1, max_size=2))
 
 
+# a positive number anywhere from 1e-300 to 1e300, often at either end
+_MAGNITUDES = st.builds(lambda mantissa, exponent: mantissa * 10.0 ** exponent,
+                        st.floats(1.0, 9.99), st.integers(-300, 300) | st.sampled_from([-300, 300]))
+
+
+@st.composite
+def _scaled_invocations(draw):
+    """``analyze``, ``optimize`` or ``security --entrant`` on a two-miner
+    market whose numbers are each drawn from 1e-300 to 1e300: a market at any
+    scale, which patching one field of SMART_CONFIG never builds."""
+    m_a, m_b = draw(_MAGNITUDES), draw(_MAGNITUDES)
+    miners = [{"id": mid, "m": m, "fc": draw(st.just(0.0) | _MAGNITUDES), "vc": draw(st.just(0.0) | _MAGNITUDES)}
+              for mid, m in (("a", m_a), ("b", m_b))]
+    doc = {"coin": {"tau": draw(_MAGNITUDES)}, "reward": draw(st.just("calibrated") | _MAGNITUDES),
+           "miners": miners, "schedules": [{"miner_id": "a", "powers": [0.0, m_a]}]}
+    command = draw(st.sampled_from(["analyze", "optimize", "security"]))
+    if command == "security":
+        return doc, command, ["--entrant", repr(draw(st.just(0.0) | _MAGNITUDES))]
+    return doc, command, ["--miner", "a"]
+
+
+def _check_contract(doc, command, flags):
+    """Run the CLI in this process on config ``doc``: a known exit code, no
+    traceback, a JSON error document on stderr for a failure and nothing on
+    stderr for a success.  A bare "float division by zero" names no input,
+    so it may not stand as an error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "config.json")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        argv = [command, cfg] + flags
+        if command == "simulate":
+            argv += ["--out", os.path.join(tmp, "out")]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        errors = json.loads(err.getvalue())
+        assert "float division by zero" not in errors, (doc, command, flags)
+
+
 class TestCliContract:
     @settings(max_examples=300, deadline=None)
     @given(_invocations())
     def test_exit_code_and_stderr_contract(self, invocation):
-        doc, command, flags = invocation
-        with tempfile.TemporaryDirectory() as tmp:
-            cfg = os.path.join(tmp, "config.json")
-            with open(cfg, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh)
-            argv = [command, cfg] + flags
-            if command == "simulate":
-                argv += ["--out", os.path.join(tmp, "out")]
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv)
-        assert code in (0, 2, 3, 4)
-        assert "Traceback" not in out.getvalue() + err.getvalue()
-        if code != 0:
-            json.loads(err.getvalue())
+        _check_contract(*invocation)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_scaled_invocations())
+    def test_contract_at_any_market_scale(self, invocation):
+        # in this process a numpy RuntimeWarning raises, so it fails here too
+        _check_contract(*invocation)
 
 
 # five miners, four of them deviating with periods 97, 89, 83 and 79: a common
@@ -929,6 +994,15 @@ class TestFreshProcess:
         # the input types are named tuples, so only numpy's import may load
         # dataclasses (and with it inspect, ast, dis and tokenize)
         assert numpy_loaded or not dataclasses_seen
+
+    def test_large_market_optimize_writes_nothing_to_stderr(self, tmp_path):
+        # a numpy warning reaches stderr only in a process of its own: in this
+        # one, the warnings filter of the test run turns it into an exception
+        cfg = _write_config(tmp_path, LARGE_MARKET_CONFIG)
+        result = _child(["-m", "smartmining.cli", "optimize", cfg, "--miner", "a"], timeout=60)
+        assert (result.returncode, result.stderr) == (0, "")
+        report = json.loads(result.stdout)
+        assert 0.0 < report["delta_fraction"] < 1.0
 
     def test_out_of_memory_exits_2(self, tmp_path):
         import resource

@@ -376,6 +376,19 @@ def _three_period_scenario():
     return CoinParams(tau=600.0, epsilon=0.001, w=700.0), miners, schedules
 
 
+def _plain_step_loop(coin, miners, schedules, horizon):
+    """Records of epochs 1..``horizon`` from bare ``step_epoch`` calls, each
+    given the full map of active powers: the independent oracle for ``run``
+    and ``steady_cycle``."""
+    by_id = {s.miner_id: s for s in schedules}
+    H, records = total_power(miners) * coin.tau, []
+    for k in range(1, horizon + 1):
+        active = {p.id: (by_id[p.id].power_at(k) if p.id in by_id else p.m) for p in miners}
+        rec, H = step_epoch(k, H, active, coin, miners)
+        records.append(rec)
+    return records
+
+
 def _bits(rec):
     """Every field of a record, floats as their exact hex form."""
     return (rec.k, rec.H.hex(), rec.t.hex(), rec.rph.hex(),
@@ -432,12 +445,7 @@ class TestStreamingSimulation:
     def test_run_matches_hand_loop_with_full_active_map(self, clamp):
         coin, miners, schedules = _three_period_scenario()
         coin = CoinParams(tau=coin.tau, epsilon=coin.epsilon, w=coin.w, clamp=clamp)
-        by_id = {s.miner_id: s for s in schedules}
-        H, expected = sum(p.m for p in miners) * coin.tau, []
-        for k in range(1, 41):
-            active = {p.id: (by_id[p.id].power_at(k) if p.id in by_id else p.m) for p in miners}
-            rec, H = step_epoch(k, H, active, coin, miners)
-            expected.append(_bits(rec))
+        expected = [_bits(r) for r in _plain_step_loop(coin, miners, schedules, 40)]
         assert [_bits(r) for r in run(coin, miners, schedules, 40).records] == expected
 
 
@@ -489,12 +497,7 @@ class TestSharedRates:
         coin = _coin(clamp=clamp)
         period = math.lcm(*(s.period for s in schedules))
         horizon = periods * period + extra
-        by_id = {s.miner_id: s for s in schedules}
-        H, expected = total_power(miners) * coin.tau, []
-        for k in range(1, horizon + 1):
-            active = {p.id: (by_id[p.id].power_at(k) if p.id in by_id else p.m) for p in miners}
-            rec, H = step_epoch(k, H, active, coin, miners)
-            expected.append(rec)
+        expected = _plain_step_loop(coin, miners, schedules, horizon)
         trace = run(coin, miners, schedules, horizon)
         assert [_bits(r) for r in trace.records] == [_bits(r) for r in expected]
         assert [(mid, u.hex()) for mid, u in trace.utilities.items()] == [
@@ -511,12 +514,7 @@ class TestSharedRates:
     @settings(max_examples=80, derandomize=True, deadline=None)
     def test_steady_cycle_equals_the_last_period_of_the_plain_step_loop(self, shares, offsets, idle_last):
         coin, miners, schedules, period = _cycle_scenario(shares, offsets, idle_last)
-        by_id = {s.miner_id: s for s in schedules}
-        H, stepped = total_power(miners) * coin.tau, []
-        for k in range(1, 3 * period + 1):
-            active = {p.id: (by_id[p.id].power_at(k) if p.id in by_id else p.m) for p in miners}
-            rec, H = step_epoch(k, H, active, coin, miners)
-            stepped.append(rec)
+        stepped = _plain_step_loop(coin, miners, schedules, 3 * period)
         # the invariant steady_cycle rests on: past the warm-up period, every
         # period repeats (H, t) bit for bit
         assert [(r.H.hex(), r.t.hex()) for r in stepped[period:2 * period]] == [

@@ -293,5 +293,10 @@ class TestValidateScenario:
         errors = validate_scenario(coin, [MinerParams("a", 0.5, 0.1, 0.1), MinerParams("b", 0.5, 0.1, 0.1)])
         assert errors == ["w/(M*tau) = 1e+300/1e-300 overflows: the baseline price must be finite"]
 
+    def test_baseline_price_underflow(self):
+        coin = CoinParams(tau=1e300, epsilon=0.0, w=1e-300)
+        errors = validate_scenario(coin, [MinerParams("a", 3e-151, 0.0, 1.0), MinerParams("b", 7e-151, 0.1, 0.01)])
+        assert errors == ["w/(M*tau) = 1e-300/1e+150 underflows to 0: the baseline price must be > 0"]
+
     def test_first_workload_unchecked_without_coin(self):
         assert validate_scenario(None, [MinerParams("a", 1e-200, 0.1, 0.1)]) == []

@@ -30,6 +30,33 @@ def concrete_markets(draw):
     return AggregateContext(M=M, coin=CoinParams(tau=tau, epsilon=0.0, w=w)), MinerParams("d", m, fc, vc)
 
 
+def _magnitude(low, high):
+    return st.floats(low, high).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def extreme_markets(draw):
+    """A deviator in a market at any float scale: M from 1e-300 to 1e300,
+    tau, fc and vc from 1e-300 to 1e300 (within the workload M*tau and the
+    cost rate vc*m that the model accepts), and a reward within a factor 1e3
+    of tau times the deviator's cost rate, which keeps every utility inside
+    float range.  Markets the model rejects, such as one whose baseline price
+    overflows, are skipped."""
+    exponent = draw(st.floats(-300, 300))
+    M = 10.0 ** exponent
+    tau = draw(_magnitude(max(-300, -300 - exponent), min(300, 300 - exponent)))
+    fc = draw(st.just(0.0) | _magnitude(-300, 300))
+    vc = draw(st.just(0.0) | _magnitude(-300, min(300, 300 - exponent)))
+    x = draw(st.floats(1e-3, 0.999))
+    k = draw(_magnitude(-3, 3))
+    try:
+        miner = MinerParams("d", x * M, fc, vc)
+        ctx = AggregateContext(M=M, coin=CoinParams(tau=tau, epsilon=0.0, w=tau * miner.cost_rate * k))
+    except ValueError:
+        assume(False)
+    return ctx, miner
+
+
 class TestOptimalIdle:
     def test_no_fixed_costs_full_idle_wins(self):
         # without fixed costs the reduced epoch loses nothing, so idling
@@ -90,8 +117,32 @@ class TestOptimalIdle:
         oracle = brute_force_idle(ctx, miner, 20_000)
         assert point.utility >= oracle.utility - 1e-12 * miner.cost_rate
 
+    @settings(max_examples=200, deadline=None)
+    @given(extreme_markets())
+    def test_closed_form_holds_at_any_market_scale(self, market):
+        # the stationarity quadratic is solved in units of M, so no
+        # intermediate overflows where the market itself is representable;
+        # a numpy overflow or invalid operation fails the run
+        ctx, miner = market
+        point = optimal_idle(ctx, miner)
+        assert 0.0 <= point.delta <= miner.m
+        oracle = brute_force_idle(ctx, miner, 20_000)
+        assert point.utility >= oracle.utility - 1e-9 * miner.cost_rate
+
+    def test_large_market_keeps_its_interior_optimum(self):
+        # M^3 = 1e600 is beyond float range; the optimum is interior at roi
+        # -0.3872, where honest mining gives -0.4
+        M, tau = 1e200, 1e-300
+        miner = MinerParams("d", 0.6 * M, 1e300, 1e100)
+        ctx = AggregateContext(M=M, coin=CoinParams(tau=tau, epsilon=0.0, w=tau * miner.cost_rate))
+        point = optimal_idle(ctx, miner)
+        oracle = brute_force_idle(ctx, miner, 20_000)
+        assert 0.0 < point.delta < miner.m
+        assert point.utility >= oracle.utility - 1e-12 * miner.cost_rate
+        assert point.roi == pytest.approx(-0.3871875976, abs=1e-9)
+
     def test_degenerate_stationarity_quadratic(self):
-        # r0 = 1 and g = r0 - vc = -0.5 make q1 = M*(m*r0 + M*g) exactly 0
+        # r0 = 1 and g = r0 - vc = -0.5 make q1 = m*r0 + M*g exactly 0
         ctx = AggregateContext(M=2.0, coin=CoinParams(tau=1.0, epsilon=0.0, w=2.0))
         miner = MinerParams("d", m=1.0, fc=0.1, vc=1.5)
         point = optimal_idle(ctx, miner)

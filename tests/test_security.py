@@ -6,6 +6,7 @@ import pytest
 from _scenarios import alternation, attack_trio
 from smartmining import (
     CoinParams,
+    ConfigurationError,
     EntryEffect,
     MinerParams,
     StrategySchedule,
@@ -149,6 +150,13 @@ class TestEntryEffect:
         coin, miners = attack_trio()
         with pytest.raises(ValueError):
             entry_effect(coin, miners, alternation(miners[0], 10.0), -1.0)
+
+    def test_underflowing_baseline_price_rejected(self):
+        # every price of the cycle would read 0.0, so rph_lre_ratio would divide by 0
+        coin = CoinParams(tau=1e300, epsilon=0.0, w=1e-300)
+        miners = [MinerParams("a", 3e-151, 0.0, 1.0), MinerParams("b", 7e-151, 0.1, 0.01)]
+        with pytest.raises(ConfigurationError, match="the baseline price must be > 0"):
+            entry_effect(coin, miners, alternation(miners[0], miners[0].m), 0.0)
 
     def test_closed_form_matches_simulated_entrant(self):
         # the closed form reads the base cycle; the oracle simulates the entrant
