@@ -216,10 +216,10 @@ def _write_trace_csv(path, trace, miners) -> None:
     """Write one row per epoch, every float as its ``repr``.
 
     Records that hold the same ``per_miner`` object are equal apart from ``k``
-    (``engine._simulate`` shares the tuple only between epochs of equal phase
-    and workload), so the text after ``k`` is formatted once per shared
-    tuple.  Text is kept only for a tuple that more than one record holds: a
-    trace that never repeats holds no row text.
+    (``engine._simulate`` shares the tuple only between epochs whose workload
+    and active powers have the same bits), so the text after ``k`` is
+    formatted once per shared tuple.  Text is kept only for a tuple that more
+    than one record holds: a trace that never repeats holds no row text.
     """
     cols = ["k", "H", "t", "rph"] + [f"{p.id}_{c}" for p in miners for c in ("mhat", "R", "C", "P")]
     holders = Counter(map(id, map(itemgetter(4), trace.records)))

@@ -3,15 +3,17 @@
 Epoch k requires H_k hashes; with total active power A_k it lasts
 t_k = H_k / A_k, and the retarget sets H_{k+1} = (H_k / t_k) * tau, which is
 exactly A_k * tau.  Every downstream quantity (revenue per hash, per-miner
-rates) is a pure function of H_k and the active powers, so identical inputs
-reproduce bit-identical traces.  The active powers depend on k only through
-its phase k mod p (p the lcm of the schedule periods), so an epoch's record
-is a function of (phase, H_k) apart from its index k.
+rates) is a pure function of the epoch's state, H_k and the active powers, so
+identical inputs reproduce bit-identical traces, and an epoch's record is a
+function of its state apart from its index k.  The active powers depend on k
+only through its phase k mod p (p the lcm of the schedule periods), but
+epochs of different phases can share a state.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from itertools import islice
 
 from .model import (
@@ -26,8 +28,9 @@ from .model import (
     validate_scenario,
 )
 
-# Largest period (epochs x miners) that steady_cycle simulates: at about 170 B
-# per kept miner-epoch record, the bound caps the records near 700 MB.
+# Largest period (epochs x miners) that steady_cycle simulates.  In the worst
+# case no state repeats, every kept record holds rates of its own at about
+# 170 B per miner-epoch, and the bound caps the records near 700 MB.
 _MAX_CYCLE_MINER_EPOCHS = 2**22
 
 
@@ -54,7 +57,8 @@ def step_epoch(k: int, H: float, active, coin, miners, *, per_miner=None) -> tup
     the same object, in place of the rates this epoch would compute: every
     check above still runs in the same order, and (k, H, t, rph) and the next
     workload keep their bits.  ``_simulate`` passes the tuple of an earlier
-    epoch of equal phase and workload, whose rates are the same.
+    epoch whose workload and active powers have the same bits, so its rates
+    are the same.
     """
     if k < 1:
         raise ValueError(f"epoch index must be >= 1, got {k}")
@@ -82,7 +86,7 @@ def step_epoch(k: int, H: float, active, coin, miners, *, per_miner=None) -> tup
     H_next = A * coin.tau
     if coin.clamp is not None:
         H_next = min(max(H_next, H / coin.clamp), H * coin.clamp)
-    return EpochRecord(k, H, t, rph, per_miner), H_next
+    return tuple.__new__(EpochRecord, (k, H, t, rph, per_miner)), H_next
 
 
 def _check_scenario(coin, miners, schedules) -> None:
@@ -97,24 +101,34 @@ def _simulate(coin, miners, schedules, horizon: int):
     The active map holds the scheduled miners only; ``step_epoch`` runs every
     other miner at full capacity.
 
-    Every epoch is stepped, in order, with every check.  An epoch whose
-    (phase, H) matches an earlier epoch gets that epoch's ``per_miner`` tuple,
-    the same object, so records holding one ``per_miner`` object are equal
-    apart from ``k``; a stored H passed the H > 0 check, so equal keys have
-    equal bits.  Only epochs whose phase recurs within the horizon are stored.
+    Every epoch is stepped, in order, with every check.  An epoch whose state
+    has the same bits as an earlier epoch's, H and the scheduled powers, gets
+    that epoch's ``per_miner`` tuple, the same object, so records holding one
+    ``per_miner`` object are equal apart from ``k``.  The key is the packed
+    bits, not the float values: -0.0 == 0.0, yet a -0.0 power writes its own
+    ``mhat`` and ``R``.  Only epochs whose phase recurs within the horizon
+    store their state and their phase's active map.
     """
     H = total_power(miners) * coin.tau
     # exact tuples unpack on the interpreter's specialized path, which namedtuple field reads miss
     miners = [tuple(p) for p in miners]
     plan = [(s.miner_id, s.powers, s.offset - 1, s.period) for s in schedules]   # StrategySchedule.power_at, inlined
     p = math.lcm(*(n for *_, n in plan))
-    shared = {}   # (k mod p, H) -> per_miner
+    state_bits = struct.Struct(f"{len(plan) + 1}d").pack
+    phases = {}   # k mod p -> active map
+    shared = {}   # bits of (H, scheduled powers) -> per_miner
     for k in range(1, horizon + 1):
-        per = shared.get((k % p, H))
-        record, H_next = step_epoch(k, H, {mid: ps[(shift + k) % n] for mid, ps, shift, n in plan}, coin, miners,
-                                    per_miner=per)
-        if per is None and k + p <= horizon:
-            shared[k % p, H] = record.per_miner
+        recurs = k + p <= horizon
+        active = phases.get(k % p)
+        if active is None:
+            active = {mid: ps[(shift + k) % n] for mid, ps, shift, n in plan}
+            if recurs:
+                phases[k % p] = active
+        key = state_bits(H, *active.values())
+        per = shared.get(key)
+        record, H_next = step_epoch(k, H, active, coin, miners, per_miner=per)
+        if per is None and recurs:
+            shared[key] = record.per_miner
         H = H_next
         yield record
 
@@ -141,7 +155,7 @@ def run(coin, miners, schedules, horizon: int) -> SimulationTrace:
     Miners without a schedule mine at full power every epoch.  Utilities are
     the finite-horizon time-weighted profit averages; for periodic schedules
     they approach ``periodic_utility`` as the horizon grows.  Records of equal
-    phase and workload share one ``per_miner`` tuple (see ``_simulate``).
+    workload and active powers share one ``per_miner`` tuple (see ``_simulate``).
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -161,13 +175,14 @@ def steady_cycle(coin, miners, schedules) -> list[EpochRecord]:
     only transient, H_1 = M*tau) is a function of the phase alone.  Epochs
     p+1..2p and 2p+1..3p therefore agree on (H, t) bit for bit, and a stall
     or overflow raises in ``step_epoch`` before the last period is reached.
-    As in ``run``, per-miner rates are computed in the first period and in
-    epoch p+1; every later epoch shares them (``_simulate``).
+    As in ``run``, per-miner rates are computed once per distinct state, H
+    and the active powers; every later epoch in that state shares them
+    (``_simulate``).
 
     Clamped coins are refused: the clamp can stretch transients arbitrarily,
     so finite-horizon ``run`` is the right tool there.  A common period p
-    with p*N above 2**22 miner-epochs (N miners) is refused too: its records
-    alone would take gigabytes.
+    with p*N above 2**22 miner-epochs (N miners) is refused too: where no
+    state repeats, its records alone would take gigabytes.
     """
     if coin.clamp is not None:
         raise ConfigurationError("steady-state analysis requires an unclamped coin; use run() instead")

@@ -1,4 +1,5 @@
 
+import json
 import math
 
 import pytest
@@ -376,6 +377,15 @@ def _three_period_scenario():
     return CoinParams(tau=600.0, epsilon=0.001, w=700.0), miners, schedules
 
 
+def _repeating_state_scenario():
+    # a period-3 deviator beside a period-2 schedule of two equal entries
+    # (common period 6): the state repeats every 3 epochs, across phases
+    miners = [MinerParams("a", 30.0, 0.1, 0.006), MinerParams("b", 25.0, 0.05, 0.008),
+              MinerParams("c", 20.0, 0.0, 0.01)]
+    schedules = [StrategySchedule("a", (0.0, 30.0, 12.0)), StrategySchedule("b", (7.5, 7.5))]
+    return CoinParams(tau=600.0, epsilon=0.001, w=700.0), miners, schedules
+
+
 def _plain_step_loop(coin, miners, schedules, horizon):
     """Records of epochs 1..``horizon`` from bare ``step_epoch`` calls, each
     given the full map of active powers: the independent oracle for ``run``
@@ -394,6 +404,11 @@ def _bits(rec):
     return (rec.k, rec.H.hex(), rec.t.hex(), rec.rph.hex(),
             tuple((s.miner_id, s.active_power.hex(), s.revenue_rate.hex(), s.cost_rate.hex(), s.profit_rate.hex())
                   for s in rec.per_miner))
+
+
+def _state_bits(rec):
+    """An epoch's state, its workload and active powers, as exact hex forms."""
+    return rec.H.hex(), tuple(s.active_power.hex() for s in rec.per_miner)
 
 
 class TestStreamingSimulation:
@@ -420,9 +435,8 @@ class TestStreamingSimulation:
                     p.id, mhat, revenue, cost, revenue - cost)
 
     def test_steady_cycle_steps_3p_and_computes_p_plus_1_rates(self, monkeypatch):
-        # the benchmark's reach gate counts 3p step_epoch calls per steady cycle
-        coin, miners, schedules = _three_period_scenario()
-        want = [_bits(r) for r in run(coin, miners, schedules, 90).records[60:]]
+        # the benchmark's reach gate counts 3p step_epoch calls per steady
+        # cycle: 90 on the three-period scenario, 18 on the repeating one
         stepped, computed = [], []
 
         def counting(*args, per_miner=None, **kwargs):
@@ -433,13 +447,22 @@ class TestStreamingSimulation:
             return rec, H_next
 
         monkeypatch.setattr(engine, "step_epoch", counting)
-        cycle = steady_cycle(coin, miners, schedules)
-        assert [rec.k for rec in stepped] == list(range(1, 91))
-        # rates are computed in the first period and in epoch p+1 alone
-        assert len(computed) <= 31
-        built = {id(rec.per_miner) for rec in computed if rec.k <= 31}
-        assert all(id(rec.per_miner) in built for rec in cycle)
-        assert [_bits(r) for r in cycle] == [_bits(r) for r in stepped[60:]] == want
+        for coin, miners, schedules in (_three_period_scenario(), _repeating_state_scenario()):
+            p = math.lcm(*(s.period for s in schedules))
+            plain = _plain_step_loop(coin, miners, schedules, 3 * p)
+            stepped.clear()
+            computed.clear()
+            cycle = steady_cycle(coin, miners, schedules)
+            assert [rec.k for rec in stepped] == list(range(1, 3 * p + 1))
+            # rates are computed once per distinct state, and every state of
+            # the 3p epochs occurs in epochs 1..p+1
+            assert len(computed) == len({_state_bits(r) for r in plain[:p + 1]})
+            built = {id(rec.per_miner) for rec in computed if rec.k <= p + 1}
+            assert all(id(rec.per_miner) in built for rec in cycle)
+            assert [_bits(r) for r in cycle] == [_bits(r) for r in stepped[2 * p:]] == [
+                _bits(r) for r in plain[2 * p:]]
+        # the repeating scenario's states recur across phases
+        assert len(computed) < p
 
     @pytest.mark.parametrize("clamp", [None, 1.1])
     def test_run_matches_hand_loop_with_full_active_map(self, clamp):
@@ -506,9 +529,41 @@ class TestSharedRates:
         for a, b in zip(records, records[period:]):
             if a.H == b.H:
                 assert a.per_miner is b.per_miner
-        phases = {}
-        for rec in records:
-            assert phases.setdefault(id(rec.per_miner), rec.k % period) == rec.k % period
+        # one per_miner object is held only by records of one state: H, t,
+        # rph and the oracle's active powers agree bit for bit
+        states = {}
+        for rec, want in zip(records, expected):
+            state = (rec.H.hex(), rec.t.hex(), rec.rph.hex(), tuple(s.active_power.hex() for s in want.per_miner))
+            assert states.setdefault(id(rec.per_miner), state) == state
+
+    @pytest.mark.parametrize("clamp", [None, 1.2])
+    def test_signed_zero_powers_never_share_rates(self, tmp_path, clamp):
+        # 0.0 == -0.0, but the two write different mhat and R cells; past the
+        # first epochs the workload settles, so the two states differ only in
+        # the sign of a's power
+        from smartmining.cli import main
+
+        coin, miners = _coin(clamp=clamp), _two_miners()
+        schedules = [StrategySchedule("a", (0.0, -0.0))]
+        trace = run(coin, miners, schedules, 40)
+        assert [_bits(r) for r in trace.records] == [_bits(r) for r in _plain_step_loop(coin, miners, schedules, 40)]
+        signs = {}
+        for rec in trace.records:
+            sign = math.copysign(1.0, rec.per_miner[0].active_power)
+            assert sign == (1.0 if rec.k % 2 else -1.0)
+            assert signs.setdefault(id(rec.per_miner), sign) == sign
+        assert len(signs) < 40
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "coin": {"tau": coin.tau, "epsilon": coin.epsilon, "clamp": clamp}, "reward": coin.w,
+            "miners": [p._asdict() for p in miners],
+            "schedules": [{"miner_id": "a", "powers": [0.0, -0.0]}]}), encoding="utf-8")
+        assert main(["simulate", str(config), "--epochs", "40", "--out", str(tmp_path / "out")]) == 0
+        lines = (tmp_path / "out" / "trace.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[0].split(",")[4:6] == ["a_mhat", "a_R"]
+        for k, line in enumerate(lines[1:], start=1):
+            zero = "0.0" if k % 2 else "-0.0"
+            assert line.split(",")[4:6] == [zero, zero]
 
     @given(_CYCLE_SHARES, _CYCLE_OFFSETS, st.booleans())
     @settings(max_examples=80, derandomize=True, deadline=None)
