@@ -20,6 +20,7 @@ import math
 import os
 import sys
 from collections import Counter
+from functools import cache
 from itertools import chain
 from operator import itemgetter
 
@@ -299,11 +300,12 @@ def _cmd_sweep(args) -> int:
     ys = [(i + 0.5) / args.ny for i in range(args.ny)]
     matrix = sweep(xs, ys, args.mode)
     x_cells = [f"{xv:.17g}," for xv in xs]
-    lines = ["x,y,roi"]
+    chunks = ["x,y,roi\n"]
     for yv, row in zip(ys, matrix.tolist()):
-        y_cell = f"{yv:.17g},"
-        lines.extend([x_cell + y_cell + f"{r:.17g}" for x_cell, r in zip(x_cells, row)])
-    _write_text(args.out, "\n".join(lines) + "\n")
+        # one line per x cell, its roi slot formatted as f"{r:.17g}" would
+        y_cell = f"{yv:.17g},%.17g\n"
+        chunks.append("".join([x_cell + y_cell for x_cell in x_cells]) % tuple(row))
+    _write_text(args.out, "".join(chunks))
     return EXIT_OK
 
 
@@ -327,7 +329,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigurationError(message)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line parser, built on first use and kept for the process."""
     parser = _Parser(
         prog="smartmining",
         description="Deterministic epoch simulator and closed-form analyzer of "
@@ -368,7 +372,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.handler(args)
     except StalledEpochError as exc:
         print(json.dumps({"error": "stalled epoch", "epoch": exc.epoch}), file=sys.stderr)

@@ -87,8 +87,10 @@ def entry_effect(coin, miners, attacker_schedule: StrategySchedule, entrant_powe
     """
     if not (_finite(entrant_power) and entrant_power >= 0):
         raise ValueError(f"entrant power must be >= 0 and finite, got {entrant_power}")
-    if error := _workload_error(total_power(miners) + entrant_power, coin):
-        raise ConfigurationError(error)
+    M = total_power(miners)
+    if error := _workload_error(M + entrant_power, coin):
+        raise ConfigurationError(f"entrant power {entrant_power!r}: with M = {M!r} + {entrant_power!r}, "
+                                 f"the market power plus the entrant's, {error}")
     cycle = steady_cycle(coin, miners, [attacker_schedule])
     actives = [rec.total_active for rec in cycle]
     rphs = [rec.rph for rec in cycle]

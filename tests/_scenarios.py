@@ -3,9 +3,9 @@
 The builders construct markets in the balanced-margin state: every miner's
 cost-plus-margin rate is proportional to its hash power, so at full
 participation each miner earns exactly the margin epsilon.  This is the state
-all deviation closed forms are derived against.  ``NO_REPEAT_CONFIG`` is a
-scenario config document, shared with the CI step that compares outputs
-across Python versions.
+all deviation closed forms are derived against.  ``NO_REPEAT_CONFIG`` and
+``ALWAYS_ON_CONFIG`` are scenario config documents, shared with the CI step
+that compares outputs across Python versions.
 """
 
 from smartmining import (
@@ -64,4 +64,17 @@ NO_REPEAT_CONFIG = {
     "miners": [{"id": f"m{i:02d}", "m": 2.0 + 3.5 * i, "fc": 0.01 * (i + 1), "vc": 0.001 * (i + 1)}
                for i in range(15)] + [{"id": "big", "m": 1e6, "fc": 0.1, "vc": 0.005}],
     "schedules": [{"miner_id": "big", "powers": [0.0]}],
+}
+
+
+# twenty always-on miners around two scheduled ones (common period 15): m03's
+# schedule holds its capacity 9.5 and m07's a -0.0, so states of one workload
+# share the rates of every miner at capacity, and -0.0 writes its own cells
+ALWAYS_ON_CONFIG = {
+    "coin": {"tau": 600.0, "epsilon": 0.001},
+    "reward": "calibrated",
+    "miners": [{"id": f"m{i:02d}", "m": 5.0 + 1.5 * i, "fc": 0.01 * (1 + i % 4), "vc": 0.001 * (1 + i % 3)}
+               for i in range(22)],
+    "schedules": [{"miner_id": "m03", "powers": [0.0, 9.5, 4.0], "offset": 1},
+                  {"miner_id": "m07", "powers": [-0.0, 8.0, 15.5, 15.5, 3.0]}],
 }

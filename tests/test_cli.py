@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import smartmining
-from _scenarios import NO_REPEAT_CONFIG
+from _scenarios import ALWAYS_ON_CONFIG, NO_REPEAT_CONFIG
 from smartmining.cli import main
 
 SMART_CONFIG = {
@@ -297,7 +297,7 @@ class TestSimulate:
                 assert float(row[base + 2]) == s.cost_rate
                 assert float(row[base + 3]) == s.profit_rate
 
-    @pytest.mark.parametrize("case", ["clamped", "signed-zero-schedule", "no-repeats"])
+    @pytest.mark.parametrize("case", ["clamped", "signed-zero-schedule", "always-on", "no-repeats"])
     def test_trace_csv_bytes_match_whole_file_join(self, tmp_path, case):
         # the writer formats each shared row once; the expected file calls
         # repr on every cell
@@ -313,6 +313,10 @@ class TestSimulate:
         elif case == "signed-zero-schedule":
             # 0.0 == -0.0, but epoch 1 writes 0.0 and epoch 2 writes -0.0
             doc["schedules"] = [{"miner_id": "c", "powers": [0.0, -0.0, 20.0]}]
+        elif case == "always-on":
+            # states of one workload share the rates of every miner at capacity
+            doc = ALWAYS_ON_CONFIG
+            epochs = 200
         else:
             # no two epochs share a row, so every row is formatted on its own
             doc = NO_REPEAT_CONFIG
@@ -709,6 +713,10 @@ BAD_INPUTS = {
     "nan-entrant": (SMART_CONFIG, ["security", "--entrant", "nan"], "got nan"),
     "inf-entrant": (SMART_CONFIG, ["security", "--entrant", "inf"], "entrant power must be >= 0 and finite"),
     "huge-entrant": (SMART_CONFIG, ["security", "--entrant", "1e308"], "M*tau"),
+    "huge-entrant-names-the-entrant": (
+        SMART_CONFIG, ["security", "--entrant", "1e308"],
+        "entrant power 1e+308: with M = 100.0 + 1e+308, the market power plus the entrant's, "
+        "M*tau = 1e+308*600.0 underflows or overflows: the epoch workload must be > 0 and finite"),
     "non-utf8-config": (b"\xff\xfe{}", ["security"], "config is not valid JSON"),
     "underflow-analyze": (TINY_CONFIG, ["analyze", "--miner", "attacker"], "M*tau = 2e-200*1e-200 underflows"),
     "underflow-optimize": (TINY_CONFIG, ["optimize", "--miner", "attacker"], "M*tau = 2e-200*1e-200 underflows"),

@@ -1,12 +1,13 @@
 
 import json
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _scenarios import alternation, context_for, proportional_scenario
+from _scenarios import NO_REPEAT_CONFIG, alternation, context_for, proportional_scenario
 from smartmining import engine
 from smartmining import (
     CoinParams,
@@ -15,6 +16,7 @@ from smartmining import (
     MinerParams,
     StalledEpochError,
     StrategySchedule,
+    calibrate_reward,
     periodic_utility,
     run,
     smart_utility,
@@ -437,32 +439,52 @@ class TestStreamingSimulation:
     def test_steady_cycle_steps_3p_and_computes_p_plus_1_rates(self, monkeypatch):
         # the benchmark's reach gate counts 3p step_epoch calls per steady
         # cycle: 90 on the three-period scenario, 18 on the repeating one
-        stepped, computed = [], []
+        stepped, built, built_at = [], [], []
+        rates = engine._rates
 
-        def counting(*args, per_miner=None, **kwargs):
-            rec, H_next = step_epoch(*args, per_miner=per_miner, **kwargs)
+        def counting_step(*args, **kwargs):
+            rec, H_next = step_epoch(*args, **kwargs)
             stepped.append(rec)
-            if per_miner is None:
-                computed.append(rec)
             return rec, H_next
 
-        monkeypatch.setattr(engine, "step_epoch", counting)
+        def counting_rates(*args):
+            made = rates(*args)
+            built.extend(made)
+            built_at.extend([len(stepped)] * len(made))
+            return made
+
+        monkeypatch.setattr(engine, "step_epoch", counting_step)
+        monkeypatch.setattr(engine, "_rates", counting_rates)
         for coin, miners, schedules in (_three_period_scenario(), _repeating_state_scenario()):
             p = math.lcm(*(s.period for s in schedules))
             plain = _plain_step_loop(coin, miners, schedules, 3 * p)
             stepped.clear()
-            computed.clear()
+            built.clear()
+            built_at.clear()
             cycle = steady_cycle(coin, miners, schedules)
             assert [rec.k for rec in stepped] == list(range(1, 3 * p + 1))
-            # rates are computed once per distinct state, and every state of
-            # the 3p epochs occurs in epochs 1..p+1
-            assert len(computed) == len({_state_bits(r) for r in plain[:p + 1]})
-            built = {id(rec.per_miner) for rec in computed if rec.k <= p + 1}
-            assert all(id(rec.per_miner) in built for rec in cycle)
+            # every state of the 3p epochs occurs in epochs 1..p+1, and rates
+            # are built there only: once per workload and miner at capacity,
+            # and once per state and scheduled miner below capacity, unless
+            # that miner runs the power of its workload's first state
+            head, capacities, firsts = plain[:p + 1], {m.id: m.m for m in miners}, {}
+            at_capacity, below = set(), set()
+            for rec in head:
+                first = firsts.setdefault(rec.H.hex(), rec)
+                for s, f in zip(rec.per_miner, first.per_miner):
+                    if s.active_power == capacities[s.miner_id]:
+                        at_capacity.add((rec.H.hex(), s.miner_id))
+                    elif rec is first or s.active_power.hex() != f.active_power.hex():
+                        below.add((_state_bits(rec), s.miner_id))
+            assert len(built) == len(at_capacity) + len(below)
+            assert max(built_at) <= p + 1
+            made = {id(s) for s in built}
+            assert all(id(s) in made for rec in cycle for s in rec.per_miner)
+            assert len({id(rec.per_miner) for rec in cycle}) == len({_state_bits(rec) for rec in cycle})
             assert [_bits(r) for r in cycle] == [_bits(r) for r in stepped[2 * p:]] == [
                 _bits(r) for r in plain[2 * p:]]
         # the repeating scenario's states recur across phases
-        assert len(computed) < p
+        assert len({id(rec.per_miner) for rec in cycle}) < p
 
     @pytest.mark.parametrize("clamp", [None, 1.1])
     def test_run_matches_hand_loop_with_full_active_map(self, clamp):
@@ -495,6 +517,15 @@ def _cycle_scenario(shares, offsets, idle_last):
         miners.append(MinerParams("e", 30.0, 0.05, 0.004))
         schedules.append(StrategySchedule("e", (30.0,) * (period - 1) + (0.0,)))
     return CoinParams(tau=600.0, epsilon=0.001, w=700.0), miners, schedules, period
+
+
+def _assert_one_rates_object_per_workload_at_capacity(records, miners):
+    """Records of equal H hold one ``MinerEpochStats`` object per miner at capacity."""
+    held = {}
+    for rec in records:
+        for p, s in zip(miners, rec.per_miner, strict=True):
+            if s.active_power == p.m:
+                assert held.setdefault((rec.H.hex(), p.id), s) is s
 
 
 class TestSharedRates:
@@ -564,6 +595,80 @@ class TestSharedRates:
         for k, line in enumerate(lines[1:], start=1):
             zero = "0.0" if k % 2 else "-0.0"
             assert line.split(",")[4:6] == [zero, zero]
+
+    @given(
+        powers_a=st.lists(_SHARE_POWERS.map(lambda f: 60.0 * f), min_size=1, max_size=4),
+        powers_b=st.lists(_SHARE_POWERS.map(lambda f: 40.0 * f), min_size=1, max_size=3),
+        offset=st.integers(0, 5),
+        clamp=st.sampled_from([None, 1.0001, 1.2, 4.0]),
+        periods=st.integers(1, 5),
+        extra=st.integers(0, 11),
+    )
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    def test_run_shares_rates_at_capacity_by_workload(self, powers_a, powers_b, offset, clamp, periods, extra):
+        # a share of 1.0 runs a or b at its capacity, and then every record of
+        # that H holds one rates object for it, as for always-on c.  Epochs
+        # whose phase does not recur within the horizon store nothing for
+        # later ones, so only the others are checked
+        miners = _two_miners() + [MinerParams("c", 10.0, 0.02, 0.005)]
+        schedules = [StrategySchedule("a", tuple(powers_a), offset=offset), StrategySchedule("b", tuple(powers_b))]
+        coin = _coin(clamp=clamp)
+        period = math.lcm(*(s.period for s in schedules))
+        horizon = periods * period + extra
+        trace = run(coin, miners, schedules, horizon)
+        expected = _plain_step_loop(coin, miners, schedules, horizon)
+        assert [_bits(r) for r in trace.records] == [_bits(r) for r in expected]
+        _assert_one_rates_object_per_workload_at_capacity(trace.records[:horizon - period], miners)
+
+    @given(_CYCLE_SHARES, _CYCLE_OFFSETS, st.booleans())
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    def test_steady_cycle_shares_rates_at_capacity_by_workload(self, shares, offsets, idle_last):
+        coin, miners, schedules, period = _cycle_scenario(shares, offsets, idle_last)
+        cycle = steady_cycle(coin, miners, schedules)
+        expected = _plain_step_loop(coin, miners, schedules, 3 * period)[2 * period:]
+        assert [_bits(r) for r in cycle] == [_bits(r) for r in expected]
+        _assert_one_rates_object_per_workload_at_capacity(cycle, miners)
+
+    def test_steady_cycle_memory_with_many_always_on_miners(self):
+        # 24 miners, 5 of them deviating with periods 2, 3, 4, 5 and 7 (p = 420):
+        # the cycle's 300 states fall on 80 workloads.  A rates object per
+        # miner and state costs about 140 B per miner-epoch of the cycle; one
+        # per workload and miner at capacity, about 65 B
+        miners = [MinerParams(f"m{i:02d}", 5.0 + 1.75 * i, 0.01 * (1 + i % 7), 0.001 * (1 + i % 5))
+                  for i in range(24)]
+        schedules = [StrategySchedule(p.id, tuple(p.m * 0.25 if j == 0 else p.m * 0.6 if j == 2 else p.m
+                                                  for j in range(n)), offset=n - 1)
+                     for p, n in zip(miners[::5], (2, 3, 4, 5, 7))]
+        coin = CoinParams(tau=600.0, epsilon=0.001, w=calibrate_reward(miners, 600.0, 0.001))
+        steady_cycle(coin, miners, schedules)
+        tracemalloc.start()
+        try:
+            cycle = steady_cycle(coin, miners, schedules)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(cycle) == 420
+        assert peak < 100 * len(cycle) * len(miners)
+
+    def test_run_that_never_repeats_keeps_no_state_keys(self, tmp_path):
+        # every epoch of this trace is a new state at a new workload: beyond
+        # the records it returns, run holds one dict slot per epoch, keyed by
+        # the record's own H (about 40 B); a packed state key besides would
+        # bring it to about 86 B
+        from smartmining.cli import _load_scenario
+
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(NO_REPEAT_CONFIG), encoding="utf-8")
+        coin, miners, schedules = _load_scenario(config)
+        run(coin, miners, schedules, 10)
+        tracemalloc.start()
+        try:
+            trace = run(coin, miners, schedules, 2000)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len({r.H for r in trace.records}) == 2000
+        assert peak - held < 64 * 2000
 
     @given(_CYCLE_SHARES, _CYCLE_OFFSETS, st.booleans())
     @settings(max_examples=80, derandomize=True, deadline=None)
