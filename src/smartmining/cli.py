@@ -43,6 +43,7 @@ from .model import (
     MinerParams,
     StalledEpochError,
     StrategySchedule,
+    _finite,
     calibrate_reward,
     total_power,
     validate_scenario,
@@ -131,7 +132,6 @@ def _load_scenario(path):
 
     def build_coin(entry):
         tau, epsilon = _number(entry["tau"]), _number(entry.get("epsilon", 0.0))
-        reward = doc.get("reward", "calibrated")
         if reward != "calibrated":
             w = _number(reward)
         else:
@@ -146,6 +146,10 @@ def _load_scenario(path):
     # against an incomplete set would only repeat that fault
     miners_complete = not errors
     schedules = entries("schedules", StrategySchedule._fields, _schedule)
+    reward = doc.get("reward", "calibrated")
+    if reward != "calibrated" and not (_finite(reward) and reward > 0):
+        errors.append(f'reward: must be "calibrated" or a finite number > 0, got {reward!r}')
+        reward = 1.0   # a stand-in, so that the coin's own fields are still checked
     if isinstance(doc.get("coin"), dict):
         coin = _parse(errors, "coin", doc["coin"], ("tau", "epsilon", "clamp"), build_coin)
     else:

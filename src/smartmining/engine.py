@@ -5,11 +5,10 @@ t_k = H_k / A_k, and the retarget sets H_{k+1} = (H_k / t_k) * tau, which is
 exactly A_k * tau.  Every downstream quantity (revenue per hash, per-miner
 rates) is a pure function of the epoch's state, H_k and the active powers, so
 identical inputs reproduce bit-identical traces, and an epoch's record is a
-function of its state apart from its index k.  The active powers depend on k
-only through its phase k mod p (p the lcm of the schedule periods), but
-epochs of different phases can share a state, and a miner's rates depend
-only on H and its own active power, so states of equal H share the rates of
-every miner at capacity.
+function of its state apart from its index k.  A miner's rates depend only
+on H and its own active power, so the simulation keeps one rule: among
+epochs whose phase k mod p recurs (p the lcm of the schedule periods), each
+(workload, miner, power bits) has one rates object.
 """
 
 from __future__ import annotations
@@ -66,10 +65,8 @@ def step_epoch(k: int, H: float, active, coin, miners, *, per_miner=None) -> tup
     A given ``per_miner`` tuple becomes the record's ``per_miner`` as it is,
     the same object, in place of the rates this epoch would compute: every
     check above still runs in the same order, and (k, H, t, rph) and the next
-    workload keep their bits.  ``_simulate`` passes the tuple of an earlier
-    epoch whose workload and active powers have the same bits, so its rates
-    are the same, or an empty tuple for a new state at a known workload,
-    whose rates it builds with ``_rates`` once this call's checks have passed.
+    workload keep their bits.  ``_simulate`` passes a tuple of the rates this
+    epoch's workload and active powers give, built from shared entries.
     """
     if k < 1:
         raise ValueError(f"epoch index must be >= 1, got {k}")
@@ -109,27 +106,20 @@ def _simulate(coin, miners, schedules, horizon: int):
     The active map holds the scheduled miners only; ``step_epoch`` runs every
     other miner at full capacity.
 
-    Every epoch is stepped, in order, with every check run before any of its
-    rates is built.  Rates are shared at two levels:
+    Every epoch makes one ``step_epoch`` call, in order.  Among epochs whose
+    phase recurs within the horizon, each (workload, miner, power bits) has
+    one rates object, and each state, H and the scheduled powers, one
+    ``per_miner`` tuple.  The bits, not the float values, decide: -0.0 ==
+    0.0, yet a -0.0 power writes its own ``mhat`` and ``R``.
 
-    - An epoch whose state has the same bits as an earlier epoch's, H and the
-      scheduled powers, gets that epoch's ``per_miner`` tuple, the same
-      object, so records holding one ``per_miner`` object are equal apart
-      from ``k``.  The bits, not the float values, decide: -0.0 == 0.0, yet
-      a -0.0 power writes its own ``mhat`` and ``R``.
-    - A miner's rates depend on H and its own active power alone.  The first
-      state at a workload H takes ``step_epoch``'s rates.  A later new state
-      at H takes that tuple's entry for every miner whose power has the same
-      bits as there, every always-on miner among them.  A scheduled miner at
-      capacity where the first state ran it below gets one entry per H of
-      its own (m > 0, so equal values have equal bits); any other scheduled
-      miner gets fresh rates.  Records of equal H thus share one object per
-      miner at capacity.
-
-    The first state at H is found by H alone, its key rebuilt from its own
-    powers, and stored only once the state recurs, so a trace that never
-    repeats stores no key.  Only epochs whose phase recurs within the horizon
-    store their state, their workload's entries and their phase's active map.
+    The first state at a workload H takes ``step_epoch``'s rates, so an
+    unseen H passes every check before its rates are built.  A later state
+    at H starts from that tuple: a scheduled miner at another power takes
+    its entry from a memo by power bits and H, built on first use, and a
+    state whose every entry is the first's is the first state again.  Only
+    epochs whose phase recurs store their state, their entries and their
+    phase's active map, and the first state at H is found by H alone, so a
+    trace that never repeats stores no state key.
     """
     H = total_power(miners) * coin.tau
     # exact tuples unpack on the interpreter's specialized path, which namedtuple field reads miss
@@ -139,12 +129,13 @@ def _simulate(coin, miners, schedules, horizon: int):
     scheduled = [(column[mid], miners[column[mid]]) for mid, *_ in plan]   # (position, miner) in schedule order
     p = math.lcm(*(n for *_, n in plan))
     state_bits = struct.Struct(f"{len(plan) + 1}d").pack
+    power_bits = struct.Struct("d").pack
     phases = {}     # k mod p -> active map
     firsts = {}     # H -> per_miner of the first state at workload H
-    shared = {}     # bits of (H, scheduled powers) -> per_miner of a later state at H, or of a recurring first
-    # per scheduled miner: H -> its rates at capacity, where H's first state ran it
-    # below; no (H, i) keys, whose tuples, freed at the end, would keep arenas mapped
-    capacity = [{} for _ in plan]
+    shared = {}     # bits of (H, scheduled powers) -> per_miner of a state at a known H
+    # per scheduled miner: power bits -> {H: its rates}; no (H, power) keys,
+    # whose tuples, freed at the end, would keep arenas mapped
+    memo = [{} for _ in plan]
     for k in range(1, horizon + 1):
         recurs = k + p <= horizon
         active = phases.get(k % p)
@@ -155,31 +146,21 @@ def _simulate(coin, miners, schedules, horizon: int):
         key = state_bits(H, *active.values())
         per = shared.get(key)
         first = None if per is not None else firsts.get(H)
-        if first is not None and key == state_bits(H, *[first[i][1] for i, _ in scheduled]):
-            per = first
-            if recurs:   # later epochs in this state then find it in one lookup
-                shared[key] = first
-        if per is not None:   # a state seen before
-            record, H_next = step_epoch(k, H, active, coin, miners, per_miner=per)
-        elif first is None:   # the first state at H
-            record, H_next = step_epoch(k, H, active, coin, miners)
-            if recurs:
-                firsts[H] = record.per_miner
-        else:                 # a new state at a known H: only scheduled miners differ from its first state
-            record, H_next = step_epoch(k, H, active, coin, miners, per_miner=())
-            rph, per = record.rph, list(first)
-            for (i, miner), at_capacity, mhat in zip(scheduled, capacity, active.values()):
-                if mhat == first[i][1] and math.copysign(1.0, mhat) == math.copysign(1.0, first[i][1]):
-                    continue   # the power of H's first state, to the bit
-                if mhat != miner[1]:
-                    per[i] = _rates(rph, (miner,), (mhat,))[0]
-                else:
-                    per[i] = at_capacity.get(H) or _rates(rph, (miner,), (mhat,))[0]
+        if first is not None:   # a state at a known H: only scheduled miners can differ from its first state
+            # step_epoch's own rph; this H passed its checks in its first state
+            rph, per = coin.w / H, list(first)
+            for (i, miner), by_bits, mhat in zip(scheduled, memo, active.values()):
+                if mhat != first[i][1] or math.copysign(1.0, mhat) != math.copysign(1.0, first[i][1]):
+                    by_H = by_bits.setdefault(power_bits(mhat), {})
+                    per[i] = by_H.get(H) or _rates(rph, (miner,), (mhat,))[0]
                     if recurs:
-                        at_capacity[H] = per[i]
-            record = tuple.__new__(EpochRecord, (k, H, record.t, rph, tuple(per)))
-            if recurs:
-                shared[key] = record.per_miner
+                        by_H[H] = per[i]
+            per = tuple(per) if any(per[i] is not first[i] for i, _ in scheduled) else first
+            if recurs:   # later epochs in this state then find it in one lookup
+                shared[key] = per
+        record, H_next = step_epoch(k, H, active, coin, miners, per_miner=per)
+        if per is None and recurs:   # the first state at H
+            firsts[H] = record.per_miner
         H = H_next
         yield record
 
@@ -207,7 +188,7 @@ def run(coin, miners, schedules, horizon: int) -> SimulationTrace:
     the finite-horizon time-weighted profit averages; for periodic schedules
     they approach ``periodic_utility`` as the horizon grows.  Records of equal
     workload and active powers share one ``per_miner`` tuple, and records of
-    equal workload one rates object per miner at capacity (see ``_simulate``).
+    equal workload one rates object per miner and power (see ``_simulate``).
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -227,11 +208,9 @@ def steady_cycle(coin, miners, schedules) -> list[EpochRecord]:
     only transient, H_1 = M*tau) is a function of the phase alone.  Epochs
     p+1..2p and 2p+1..3p therefore agree on (H, t) bit for bit, and a stall
     or overflow raises in ``step_epoch`` before the last period is reached.
-    As in ``run``, every epoch in one state, H and the active powers, shares
-    one ``per_miner`` tuple, and every state at one H shares the rates of
-    each miner at capacity (``_simulate``): rates are built once per workload
-    and miner at capacity, and once per state and scheduled miner below it
-    at a power other than in the workload's first state.
+    As in ``run``, every epoch in one state shares one ``per_miner`` tuple,
+    and rates are built once per (workload, miner, power bits), all within
+    epochs 1..p+1 (``_simulate``).
 
     Clamped coins are refused: the clamp can stretch transients arbitrarily,
     so finite-horizon ``run`` is the right tool there.  A common period p

@@ -69,7 +69,7 @@ NO_REPEAT_CONFIG = {
 
 # twenty always-on miners around two scheduled ones (common period 15): m03's
 # schedule holds its capacity 9.5 and m07's a -0.0, so states of one workload
-# share the rates of every miner at capacity, and -0.0 writes its own cells
+# share each miner's rates at one power, and -0.0 writes its own cells
 ALWAYS_ON_CONFIG = {
     "coin": {"tau": 600.0, "epsilon": 0.001},
     "reward": "calibrated",

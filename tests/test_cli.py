@@ -314,7 +314,7 @@ class TestSimulate:
             # 0.0 == -0.0, but epoch 1 writes 0.0 and epoch 2 writes -0.0
             doc["schedules"] = [{"miner_id": "c", "powers": [0.0, -0.0, 20.0]}]
         elif case == "always-on":
-            # states of one workload share the rates of every miner at capacity
+            # states of one workload share each miner's rates at one power
             doc = ALWAYS_ON_CONFIG
             epochs = 200
         else:
@@ -769,6 +769,12 @@ BAD_INPUTS = {
                                "schedules[0]: unknown field 'ofset'"),
     "duplicate-top-level-key": (DUPLICATE_SCHEDULES, ["security"], "duplicate key 'schedules'"),
     "duplicate-coin-key": (DUPLICATE_CLAMP, ["security"], "duplicate key 'clamp'"),
+    "string-reward": (_patched(["reward"], "calibrate"), ["security"],
+                      'reward: must be "calibrated" or a finite number > 0, got \'calibrate\''),
+    "bool-reward": (_patched(["reward"], True), ["analyze", "--miner", "attacker"],
+                    'reward: must be "calibrated" or a finite number > 0, got True'),
+    "negative-reward": (_patched(["reward"], -5), ["simulate", "--epochs", "3", "--out", "out"],
+                        'reward: must be "calibrated" or a finite number > 0, got -5'),
 }
 
 
@@ -789,6 +795,15 @@ class TestInputBoundary:
         assert isinstance(errors, list) and all(isinstance(e, str) for e in errors)
         for fragment in (fragment,) if isinstance(fragment, str) else fragment:
             assert any(fragment in e for e in errors), errors
+
+    @pytest.mark.parametrize("reward", ["calibrate", True, -5, None, 0, [1.0]])
+    def test_bad_reward_is_its_own_only_error(self, tmp_path, capsys, reward):
+        # the coin's own fields are valid, so nothing is blamed on the coin
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(_patched(["reward"], reward)), encoding="utf-8")
+        assert main(["security", str(path)]) == 2
+        assert json.loads(capsys.readouterr().err) == [
+            f'reward: must be "calibrated" or a finite number > 0, got {reward!r}']
 
     def test_integer_literals_match_floats_byte_for_byte(self, tmp_path, capsys):
         ints = json.loads(json.dumps(SMART_CONFIG))

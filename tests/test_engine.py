@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _scenarios import NO_REPEAT_CONFIG, alternation, context_for, proportional_scenario
+from _scenarios import ALWAYS_ON_CONFIG, NO_REPEAT_CONFIG, alternation, context_for, proportional_scenario
 from smartmining import engine
 from smartmining import (
     CoinParams,
@@ -464,19 +464,9 @@ class TestStreamingSimulation:
             cycle = steady_cycle(coin, miners, schedules)
             assert [rec.k for rec in stepped] == list(range(1, 3 * p + 1))
             # every state of the 3p epochs occurs in epochs 1..p+1, and rates
-            # are built there only: once per workload and miner at capacity,
-            # and once per state and scheduled miner below capacity, unless
-            # that miner runs the power of its workload's first state
-            head, capacities, firsts = plain[:p + 1], {m.id: m.m for m in miners}, {}
-            at_capacity, below = set(), set()
-            for rec in head:
-                first = firsts.setdefault(rec.H.hex(), rec)
-                for s, f in zip(rec.per_miner, first.per_miner):
-                    if s.active_power == capacities[s.miner_id]:
-                        at_capacity.add((rec.H.hex(), s.miner_id))
-                    elif rec is first or s.active_power.hex() != f.active_power.hex():
-                        below.add((_state_bits(rec), s.miner_id))
-            assert len(built) == len(at_capacity) + len(below)
+            # are built there only, once per workload, miner and power
+            assert len(built) == len({(rec.H.hex(), s.miner_id, s.active_power.hex())
+                                      for rec in plain[:p + 1] for s in rec.per_miner})
             assert max(built_at) <= p + 1
             made = {id(s) for s in built}
             assert all(id(s) in made for rec in cycle for s in rec.per_miner)
@@ -519,13 +509,13 @@ def _cycle_scenario(shares, offsets, idle_last):
     return CoinParams(tau=600.0, epsilon=0.001, w=700.0), miners, schedules, period
 
 
-def _assert_one_rates_object_per_workload_at_capacity(records, miners):
-    """Records of equal H hold one ``MinerEpochStats`` object per miner at capacity."""
+def _assert_one_rates_object_per_workload_and_power(records):
+    """Records hold one ``MinerEpochStats`` object per workload, miner and
+    active power, each compared by its bits."""
     held = {}
     for rec in records:
-        for p, s in zip(miners, rec.per_miner, strict=True):
-            if s.active_power == p.m:
-                assert held.setdefault((rec.H.hex(), p.id), s) is s
+        for s in rec.per_miner:
+            assert held.setdefault((rec.H.hex(), s.miner_id, s.active_power.hex()), s) is s
 
 
 class TestSharedRates:
@@ -606,10 +596,10 @@ class TestSharedRates:
     )
     @settings(max_examples=80, derandomize=True, deadline=None)
     def test_run_shares_rates_at_capacity_by_workload(self, powers_a, powers_b, offset, clamp, periods, extra):
-        # a share of 1.0 runs a or b at its capacity, and then every record of
-        # that H holds one rates object for it, as for always-on c.  Epochs
-        # whose phase does not recur within the horizon store nothing for
-        # later ones, so only the others are checked
+        # every record of one H holds one rates object per miner and power:
+        # always-on c, a or b at capacity (a share of 1.0) and below it alike.
+        # Epochs whose phase does not recur within the horizon store nothing
+        # for later ones, so only the others are checked
         miners = _two_miners() + [MinerParams("c", 10.0, 0.02, 0.005)]
         schedules = [StrategySchedule("a", tuple(powers_a), offset=offset), StrategySchedule("b", tuple(powers_b))]
         coin = _coin(clamp=clamp)
@@ -618,7 +608,7 @@ class TestSharedRates:
         trace = run(coin, miners, schedules, horizon)
         expected = _plain_step_loop(coin, miners, schedules, horizon)
         assert [_bits(r) for r in trace.records] == [_bits(r) for r in expected]
-        _assert_one_rates_object_per_workload_at_capacity(trace.records[:horizon - period], miners)
+        _assert_one_rates_object_per_workload_and_power(trace.records[:horizon - period])
 
     @given(_CYCLE_SHARES, _CYCLE_OFFSETS, st.booleans())
     @settings(max_examples=80, derandomize=True, deadline=None)
@@ -627,13 +617,28 @@ class TestSharedRates:
         cycle = steady_cycle(coin, miners, schedules)
         expected = _plain_step_loop(coin, miners, schedules, 3 * period)[2 * period:]
         assert [_bits(r) for r in cycle] == [_bits(r) for r in expected]
-        _assert_one_rates_object_per_workload_at_capacity(cycle, miners)
+        _assert_one_rates_object_per_workload_and_power(cycle)
+
+    def test_always_on_config_shares_rates_by_workload_and_power(self, tmp_path):
+        # m03 runs its capacity 9.5 in one phase and m07 -0.0 in another; over
+        # the epochs of the 3p stream whose phase recurs, each workload, miner
+        # and power has one rates object
+        from smartmining.cli import _load_scenario
+
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(ALWAYS_ON_CONFIG), encoding="utf-8")
+        coin, miners, schedules = _load_scenario(config)
+        p = math.lcm(*(s.period for s in schedules))
+        trace = run(coin, miners, schedules, 3 * p)
+        expected = _plain_step_loop(coin, miners, schedules, 3 * p)
+        assert [_bits(r) for r in trace.records] == [_bits(r) for r in expected]
+        _assert_one_rates_object_per_workload_and_power(trace.records[:2 * p])
 
     def test_steady_cycle_memory_with_many_always_on_miners(self):
         # 24 miners, 5 of them deviating with periods 2, 3, 4, 5 and 7 (p = 420):
         # the cycle's 300 states fall on 80 workloads.  A rates object per
         # miner and state costs about 140 B per miner-epoch of the cycle; one
-        # per workload and miner at capacity, about 65 B
+        # per workload, miner and power, about 61 B
         miners = [MinerParams(f"m{i:02d}", 5.0 + 1.75 * i, 0.01 * (1 + i % 7), 0.001 * (1 + i % 5))
                   for i in range(24)]
         schedules = [StrategySchedule(p.id, tuple(p.m * 0.25 if j == 0 else p.m * 0.6 if j == 2 else p.m
