@@ -218,7 +218,8 @@ def steady_cycle(coin, miners, schedules) -> list[EpochRecord]:
     state repeats, its records alone would take gigabytes.
     """
     if coin.clamp is not None:
-        raise ConfigurationError("steady-state analysis requires an unclamped coin; use run() instead")
+        raise ConfigurationError(
+            "steady-state analysis requires an unclamped coin; use run(), or the simulate command, instead")
     _check_scenario(coin, miners, schedules)
     periods = [s.period for s in schedules]
     p = math.lcm(*periods)

@@ -28,11 +28,11 @@ def optimal_idle(ctx: AggregateContext, miner: MinerParams) -> SmarterPoint:
     quadratic q1*rho^2 - 2*(q2 - q0)*rho - q1 = 0, whose roots multiply to
     -1: for q1 != 0 exactly one root rho+ is positive (for q1 == 0 the only
     root is rho = 0, i.e. delta = M > m).  The maximum therefore lies among
-    the three candidates 0, M*(1 - rho+) (kept only when strictly inside
-    (0, m)) and m, which are evaluated in ascending order by a single
-    ``smarter_utility`` call.  Exact utility ties resolve to the smaller idle
-    power, the lesser harm to coin security; delta = m is evaluated
-    operation for operation like ``smart_utility``.
+    the three candidates 0, M*(1 - rho+) clipped into [0, m], and m, which
+    are evaluated in this order by a single ``smarter_utility`` call.  Exact
+    utility ties resolve to the smaller idle power, the lesser harm to coin
+    security, so a clipped candidate yields its endpoint's bits; delta = m
+    is evaluated operation for operation like ``smart_utility``.
 
     Broadcasts: ``M``, ``w``, ``tau``, ``m``, ``fc`` and ``vc`` may be numpy
     arrays of one common broadcast shape (``sweep`` passes a whole grid), and
@@ -57,21 +57,18 @@ def optimal_idle(ctx: AggregateContext, miner: MinerParams) -> SmarterPoint:
     b = q2 - q0
     s = np.copysign(np.asarray(hypot(b, q1), dtype=float), q1)
     # stable quadratic formula: never add terms of opposite sign; np.where
-    # also evaluates the branch it discards, and q1 == 0 has no root at all
+    # also evaluates the branch it discards.  A root at or beyond either end,
+    # or +-inf, clips to that end, and the NaN of q1 == 0 (whose root delta =
+    # M lies beyond m) to m, as fmin drops a NaN.  A utility beyond float
+    # range reads -inf and loses, or +inf or NaN and reaches the caller as a
+    # non-finite result, which the CLI reports
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         rho_plus = np.where(b * q1 >= 0, (b + s) / q1, -q1 / (b - s))
-        interior = M * (1 - rho_plus)
-    inside = (q1 != 0) & (0.0 < interior) & (interior < m)
-    # an excluded interior candidate evaluates at the honest point, then loses
-    deltas = np.stack(np.broadcast_arrays(0.0, np.where(inside, interior, 0.0), m))
-    # a utility beyond float range reads -inf and loses, or +inf or NaN and
-    # reaches the caller as a non-finite result, which the CLI reports
-    with np.errstate(over="ignore", invalid="ignore"):
+        interior = np.fmax(np.fmin(M * (1 - rho_plus), m), 0.0)
+        deltas = np.stack(np.broadcast_arrays(0.0, interior, m))
         us = smarter_utility(ctx, miner, deltas)
-    us[1] = np.where(inside, us[1], -np.inf)
-    best = np.argmax(us, axis=0)[np.newaxis]
-    delta = np.take_along_axis(deltas, best, axis=0)[0]
-    utility = np.take_along_axis(us, best, axis=0)[0]
+    best = np.argmax(us, axis=0)
+    delta, utility = np.choose(best, deltas), np.choose(best, us)
     if utility.ndim == 0:   # a single market
         delta, utility = float(delta), float(utility)
     return SmarterPoint(delta=delta, utility=utility, roi=roi(utility, miner))

@@ -4,6 +4,8 @@ import hashlib
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -14,7 +16,8 @@ from hypothesis import strategies as st
 
 import smartmining
 from _scenarios import ALWAYS_ON_CONFIG, NO_REPEAT_CONFIG
-from smartmining.cli import main
+from smartmining.cli import _load_scenario, main
+from smartmining.engine import run, trace_utilities
 
 SMART_CONFIG = {
     "coin": {"tau": 600.0, "epsilon": 0.0},
@@ -664,7 +667,7 @@ class TestSecurityCommand:
         cfg = _write_config(tmp_path, doc)
         assert main(["security", cfg]) == 2
         errors = json.loads(capsys.readouterr().err)
-        assert any("unclamped" in e for e in errors)
+        assert any("unclamped" in e and "simulate" in e for e in errors)
 
 
 class TestClampedSimulation:
@@ -678,6 +681,81 @@ class TestClampedSimulation:
         workloads = [float(r[1]) for r in rows]
         for prev, cur in zip(workloads, workloads[1:]):
             assert 1 / 1.1 - 1e-12 <= cur / prev <= 1.1 + 1e-12
+
+
+def _clamped(clamp):
+    doc = json.loads(json.dumps(SMART_CONFIG))
+    doc["coin"]["clamp"] = clamp
+    return doc
+
+
+# at clamp 1.2 a 4000-epoch simulate of big's [0, 40] pays it 0.02627, not the
+# unclamped 0.05059 that analyze would print
+CLAMPED_BIG_CONFIG = {
+    "coin": {"tau": 600.0, "epsilon": 0.01, "clamp": 1.2},
+    "miners": [{"id": "big", "m": 40.0, "fc": 0.05, "vc": 0.004}, {"id": "a", "m": 35.0, "fc": 0.0, "vc": 0.01},
+               {"id": "b", "m": 25.0, "fc": 0.02, "vc": 0.008}],
+}
+
+
+class TestClampedClosedForms:
+    """``analyze`` and ``optimize`` price the unclamped idle/full cycle.  On
+    SMART_CONFIG the attacker's full idle power is 20 and its tuned idle
+    power 13.27 of M = 100, and a clamp c binds beyond M*(1 - 1/c): 9.09 at
+    c = 1.1, 16.67 at c = 1.2 and 23.08 at c = 1.3."""
+
+    @pytest.mark.parametrize("doc,command,miner,delta", [
+        (_clamped(1.1), "analyze", "attacker", "20.0"),
+        (_clamped(1.2), "analyze", "attacker", "20.0"),
+        (_clamped(1.1), "optimize", "attacker", "13.27"),
+        (CLAMPED_BIG_CONFIG, "analyze", "big", "40.0"),
+    ])
+    def test_binding_clamp_exits_2(self, tmp_path, capsys, doc, command, miner, delta):
+        assert main([command, _write_config(tmp_path, doc), "--miner", miner]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [error] = json.loads(captured.err)
+        clamp = doc["coin"]["clamp"]
+        assert error.startswith(f"clamp {clamp} binds at idle power {delta}"), error
+        assert f"bind point M*(1 - 1/clamp) = {100 * (1 - 1 / clamp)!r}" in error
+        assert error.endswith("use simulate instead")
+
+    @pytest.mark.parametrize("command,clamp", [("analyze", 1.3), ("analyze", 4.0), ("optimize", 1.2),
+                                               ("optimize", 4.0)])
+    def test_non_binding_clamp_prints_the_unclamped_bytes(self, tmp_path, capsys, command, clamp):
+        outputs = []
+        for name, doc in (("clamped.json", _clamped(clamp)), ("unclamped.json", SMART_CONFIG)):
+            assert main([command, _write_config(tmp_path, doc, name=name), "--miner", "attacker"]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+
+    def test_analyze_agrees_with_the_tail_of_a_long_run(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, _clamped(1.3))
+        assert main(["analyze", cfg, "--miner", "attacker"]) == 0
+        reported = json.loads(capsys.readouterr().out)["smart_utility"]
+        trace = run(*_load_scenario(cfg), 4000)
+        # the second half holds whole idle/full cycles
+        simulated = trace_utilities(trace.records[2000:])["attacker"]
+        assert simulated == pytest.approx(reported, abs=1e-12 * (0.03 + 0.0085 * 20.0))
+
+
+_README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+class TestReadme:
+    def test_commands_run_on_the_example_config(self, tmp_path, capsys):
+        with open(_README, encoding="utf-8") as fh:
+            text = fh.read()
+        [config] = re.findall(r"```json\n(.*?)```", text, re.S)
+        commands = re.search(r"## Command line\n\n```sh\n(.*?)```", text, re.S).group(1).splitlines()
+        (tmp_path / "scenario.json").write_text(config, encoding="utf-8")
+        paths = {name: str(tmp_path / name) for name in ("scenario.json", "outdir", "roi.csv")}
+        assert len(commands) == 5
+        for command in commands:
+            prog, *argv = shlex.split(command)
+            assert prog == "smartmining"
+            assert main([paths.get(a, a) for a in argv]) == 0, (command, capsys.readouterr().err)
+        capsys.readouterr()
 
 
 # epoch 1 runs on b's 1e-310 of power alone, so its duration 1.0/1e-310 overflows

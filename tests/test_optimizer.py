@@ -1,3 +1,7 @@
+import hashlib
+import math
+import random
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -55,6 +59,74 @@ def extreme_markets(draw):
     except ValueError:
         assume(False)
     return ctx, miner
+
+
+def _seeded_extreme_markets(n, seed=2019):
+    """``n`` markets from the ranges of ``extreme_markets``, drawn by a seeded
+    generator.  Magnitudes are powers of two times [1, 2), from 2**-996 to
+    2**996 (about 1e-300 to 1e300), built by ``math.ldexp``, which is exact,
+    so every platform draws the same floats.  Every other market draws its
+    costs against the baseline price r0, as ``concrete_markets`` does, so
+    that the stationary point falls inside (0, m) and beyond m as well as
+    below 0, where independent magnitudes nearly always put it.  Markets the
+    model rejects, or whose cost rate overflows, are redrawn."""
+    rng = random.Random(seed)
+
+    def magnitude(low, high):
+        return math.ldexp(rng.uniform(1.0, 2.0), rng.randint(low, high))
+
+    markets = []
+    while len(markets) < n:
+        exponent = rng.randint(-996, 996)
+        M = math.ldexp(rng.uniform(1.0, 2.0), exponent)
+        tau = magnitude(max(-996, -996 - exponent), min(996, 996 - exponent))
+        x = rng.uniform(1e-3, 0.999)
+        if rng.random() < 0.5:
+            fc = 0.0 if rng.random() < 0.25 else magnitude(-996, 996)
+            vc = 0.0 if rng.random() < 0.25 else magnitude(-996, min(996, 996 - exponent))
+            w = None
+        else:
+            r0 = magnitude(-996, 996)
+            vc = rng.uniform(0.0, 10.0) * r0
+            fc = 0.0 if rng.random() < 0.25 else rng.uniform(0.0, 2.0) * x * M * r0
+            w = r0 * M * tau
+        try:
+            miner = MinerParams("d", x * M, fc, vc)
+            w = tau * miner.cost_rate * magnitude(-10, 9) if w is None else w
+            ctx = AggregateContext(M=M, coin=CoinParams(tau=tau, epsilon=0.0, w=w))
+        except ValueError:
+            continue
+        if math.isfinite(miner.cost_rate):
+            markets.append((ctx, miner))
+    return markets
+
+
+# sha256 over float.hex of each (delta, utility, roi) of optimal_idle on
+# _seeded_extreme_markets(2000), as the form that masked its interior
+# candidate to (0, m) computed them
+SEEDED_MARKETS_SHA256 = "0093d97e05141d41c7c99ec86667ed0cf27bef96a68e3b0512e65c9088f2c55a"
+
+# (M, tau, w, m, fc, vc) of markets whose stationary point delta = M*(1 - rho+)
+# lies at or beyond an end of [0, m], where that end is the optimum
+AT_OR_BELOW_ZERO = {
+    # q2 == q0 = -0.75 and q1 = 2 make rho+ = 2/2 exactly 1: delta = 0.0
+    "at-zero": (1.0, 1.0, 2.0, 0.5, 0.25, 1.0),
+    # vc = 0: q2 - q0 = 1 and q1 = 3 put rho+ at 1.387
+    "below-zero": (1.0, 1.0, 2.0, 0.5, 0.25, 0.0),
+    # a market of two smallest subnormals: rho+ = 8/7, and M*(1 - rho+)
+    # underflows to -0.0, which the clip keeps
+    "negative-zero": (1e-323, 1e300, 3.0 * 1e-323 * 1e300, 5e-324, 0.0, 1.0),
+}
+AT_OR_ABOVE_M = {
+    # q2 - q0 = -6 and q1 = 8 make rho+ = -8/(-6 - 10) exactly 1/2: delta = m
+    "at-m": (1.0, 1.0, 14.0, 0.5, 0.25, 13.0),
+    # q2 - q0 = -6.5 and q1 = 7.5 put rho+ at 0.457 < 1 - m/M
+    "beyond-m": (1.0, 1.0, 14.0, 0.5, 0.25, 13.5),
+}
+
+
+def _market(M, tau, w, m, fc, vc):
+    return AggregateContext(M=M, coin=CoinParams(tau=tau, epsilon=0.0, w=w)), MinerParams("d", m, fc, vc)
 
 
 class TestOptimalIdle:
@@ -142,12 +214,37 @@ class TestOptimalIdle:
         assert point.roi == pytest.approx(-0.3871875976, abs=1e-9)
 
     def test_degenerate_stationarity_quadratic(self):
-        # r0 = 1 and g = r0 - vc = -0.5 make q1 = m*r0 + M*g exactly 0
+        # r0 = 1 and g = r0 - vc = -0.5 make q1 = m*r0 + M*g exactly 0, so
+        # rho+ = 0/0 is NaN and the interior candidate clips to m
         ctx = AggregateContext(M=2.0, coin=CoinParams(tau=1.0, epsilon=0.0, w=2.0))
         miner = MinerParams("d", m=1.0, fc=0.1, vc=1.5)
         point = optimal_idle(ctx, miner)
-        assert point.delta in (0.0, miner.m)
+        assert [v.hex() for v in point] == ["0x1.0000000000000p+0", "-0x1.999999999999ap-56", "-0x1.0000000000000p-56"]
         assert point.utility >= brute_force_idle(ctx, miner, 20_000).utility
+
+    @pytest.mark.parametrize("name", list(AT_OR_BELOW_ZERO))
+    def test_stationary_point_at_or_below_zero_gives_positive_zero(self, name):
+        ctx, miner = _market(*AT_OR_BELOW_ZERO[name])
+        point = optimal_idle(ctx, miner)
+        assert point.delta == 0.0 and math.copysign(1.0, point.delta) == 1.0
+        assert point.utility.hex() == smarter_utility(ctx, miner, 0.0).hex()
+        assert brute_force_idle(ctx, miner, 1000).delta == 0.0
+
+    @pytest.mark.parametrize("name", list(AT_OR_ABOVE_M))
+    def test_stationary_point_at_or_above_m_gives_m(self, name):
+        ctx, miner = _market(*AT_OR_ABOVE_M[name])
+        point = optimal_idle(ctx, miner)
+        assert point.delta == miner.m
+        assert point.utility.hex() == smart_utility(ctx, miner).hex()
+        assert brute_force_idle(ctx, miner, 1000).delta == miner.m
+
+    def test_bits_on_seeded_markets_at_any_scale(self):
+        digest = hashlib.sha256()
+        for ctx, miner in _seeded_extreme_markets(2000):
+            point = optimal_idle(ctx, miner)
+            assert all(type(v) is float for v in point), point
+            digest.update(" ".join(v.hex() for v in point).encode() + b"\n")
+        assert digest.hexdigest() == SEEDED_MARKETS_SHA256
 
     def test_domain_error_at_full_market_power(self):
         coin = CoinParams(tau=1.0, epsilon=0.0, w=5.0)
