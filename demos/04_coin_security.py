@@ -17,7 +17,6 @@ from smartmining import (
     MinerParams,
     StrategySchedule,
     attack_threshold,
-    bystander_gain,
     calibrate_reward,
     entry_effect,
     security_report,
@@ -50,16 +49,16 @@ print(f"  attack threshold:           {report.attack_threshold:.0%} (41% suffice
 print("\n=== 2. bystanders profit from the deviation ===")
 print(f"{'deviator idle':>14} {'bystander gain/t':>17}")
 for delta in np.linspace(0.0, deviator.m, 6):
-    gain = bystander_gain(coin, miners, idle_schedule(float(delta)), "bystander").gain
+    gain = security_report(coin, miners, [idle_schedule(float(delta))]).per_miner_gain["bystander"]
     print(f"{delta:>14.1f} {gain:>17.6f}")
 print("the 10-power bystander earns strictly above its margin whenever the")
 print("deviator idles anything, so it has no incentive to push back")
 
 print("\n=== 3. entrants make the weak epochs weaker ===")
-sched = idle_schedule(deviator.m)
+schedules = [idle_schedule(deviator.m)]
 print(f"{'entrant power':>14} {'rph weak epoch':>15} {'vs before':>10}")
 for power in (0.0, 5.0, 10.0, 20.0):
-    eff = entry_effect(coin, miners, sched, power)
+    eff = entry_effect(coin, miners, schedules, power)
     print(f"{power:>14.1f} {eff.rph_lre_after:>15.6f} {eff.rph_lre_ratio:>10.4f}")
 print("the entrant mines only the boosted epochs, so the workload retargeted")
 print("onto each weak epoch grows while its defenders stay at 80 power")

@@ -39,10 +39,8 @@ from .model import (
 from .optimizer import brute_force_idle, optimal_idle
 from .security import (
     AttackReport,
-    BystanderGain,
     EntryEffect,
     attack_threshold,
-    bystander_gain,
     entry_effect,
     security_report,
 )
@@ -52,7 +50,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AggregateContext",
     "AttackReport",
-    "BystanderGain",
     "CoinParams",
     "ConfigurationError",
     "EntryEffect",
@@ -67,7 +64,6 @@ __all__ = [
     "StrategySchedule",
     "attack_threshold",
     "brute_force_idle",
-    "bystander_gain",
     "calibrate_reward",
     "dominance",
     "entry_effect",

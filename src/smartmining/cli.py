@@ -329,10 +329,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_security(args) -> int:
     coin, miners, schedules = _load_scenario(args.config)
-    if args.entrant is not None and len(schedules) != 1:
-        raise ConfigurationError("--entrant requires exactly one schedule (the deviating miner)")
     # entry_effect checks the entrant power before it simulates anything
-    eff = None if args.entrant is None else entry_effect(coin, miners, schedules[0], args.entrant)
+    eff = None if args.entrant is None else entry_effect(coin, miners, schedules, args.entrant)
     doc = security_report(coin, miners, schedules)._asdict()
     if eff is not None:
         doc["entry_effect"] = eff._asdict()

@@ -34,6 +34,10 @@ from .model import (
 # 170 B per miner-epoch, and the bound caps the records near 700 MB.
 _MAX_CYCLE_MINER_EPOCHS = 2**22
 
+# 2**53 times the smallest normal float: a time-weighted sum at least this
+# large does not feel its terms that underflowed, each off by at most 2**-1075.
+_SUM_FLOOR = 2.0**-969
+
 
 def _rates(rph: float, miners, powers) -> list[MinerEpochStats]:
     """Each miner's rates at its active power, in order, at revenue per hash ``rph``."""
@@ -171,6 +175,10 @@ def trace_utilities(records) -> dict[str, float]:
     Every record must list the same miners in the same order, as the records
     of one simulation do: the ids come from the first record, the rates add
     by position, and a record with a different miner count raises ValueError.
+
+    The sums run in record order.  When the total time or a miner's sum
+    overflows, or lies below 2**-969, where terms that underflowed may have
+    cost it bits, ``_rescaled_utilities`` takes them again.
     """
     if not records:
         return {}
@@ -178,7 +186,35 @@ def trace_utilities(records) -> dict[str, float]:
     for _k, _H, t, _rph, per_miner in records:
         total_t += t
         acc = [a + s.profit_rate * t for a, s in zip(acc, per_miner, strict=True)]
+    if not all(_SUM_FLOOR <= abs(x) < math.inf for x in (total_t, *acc)):
+        return _rescaled_utilities(records)
     return {s.miner_id: a / total_t for s, a in zip(records[0].per_miner, acc)}
+
+
+def _rescaled_utilities(records) -> dict[str, float]:
+    """``trace_utilities`` with each sum in an exponent range of its own.
+
+    A duration t = f*2**x, f in [0.5, 1), adds t*2**-K to the total time, and
+    a rate p adds p*2**(x - E)*f to its miner's sum.  K bounds the exponent of
+    every duration and E that of every nonzero p*t term of the miner, each
+    raised by the bit length b of the record count, so every term is below
+    2**-b and no sum overflows.  A power of two scales exactly: the averages
+    get the bits they would have with an unbounded exponent range, apart from
+    terms more than 2**1000 below the largest.  A rate that itself overflows
+    still gives a non-finite utility.
+    """
+    b = len(records).bit_length()
+    parts = [math.frexp(rec.t) for rec in records]
+    K = max(x for _, x in parts) + b
+    total_t = ordered_sum(math.ldexp(rec.t, -K) for rec in records)
+    utilities = {}
+    for i, s in enumerate(records[0].per_miner):
+        rates = [rec.per_miner[i].profit_rate for rec in records]
+        E = max((math.frexp(p)[1] + x for p, (_, x) in zip(rates, parts) if p), default=0) + b
+        acc = ordered_sum(math.ldexp(p, x - E) * f for p, (f, x) in zip(rates, parts))
+        h = (E - K) // 2   # 2**(E - K) in two factors, neither of which overflows
+        utilities[s.miner_id] = acc / total_t * 2.0 ** h * 2.0 ** (E - K - h)
+    return utilities
 
 
 def run(coin, miners, schedules, horizon: int) -> SimulationTrace:

@@ -2,17 +2,18 @@
 
 During the reduced epochs of a deviation cycle less honest power defends the
 chain, so a majority of the *active* power is cheaper than a majority of the
-total.  This module quantifies that threshold, the windfall honest bystanders
-collect from someone else's deviation, and the feedback loop where an entrant
-chasing the boosted epochs depresses reduced-epoch revenue even further.
+total.  This module quantifies that threshold, the windfall every miner
+collects from the others' deviations (a bystander's gain in
+``security_report``), and the feedback loop where an entrant chasing the
+boosted epochs depresses reduced-epoch revenue even further.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .engine import periodic_utility, steady_cycle, trace_utilities
-from .model import ConfigurationError, StrategySchedule, _finite, _workload_error, total_power
+from .engine import steady_cycle, trace_utilities
+from .model import ConfigurationError, _finite, _workload_error, total_power
 
 
 class AttackReport(NamedTuple):
@@ -22,11 +23,6 @@ class AttackReport(NamedTuple):
     idle_fraction: float
     attack_threshold: float
     per_miner_gain: dict[str, float]
-
-
-class BystanderGain(NamedTuple):
-    utility: float
-    gain: float
 
 
 class EntryEffect(NamedTuple):
@@ -49,34 +45,20 @@ def attack_threshold(M: float, idle_total: float) -> float:
     remainder while ``idle_total`` power sits out: (1 - idle_total/M) / 2.
 
     The value is an open boundary; strictly more than it suffices.  Zero idle
-    power recovers the classical one-half majority.
+    power recovers the classical one-half majority, and all power idle leaves
+    a threshold of 0.0.
     """
     if M <= 0:
         raise ValueError(f"total power must be > 0, got {M}")
-    if not 0 <= idle_total < M:
-        raise ValueError(f"idle power must lie in [0, M), got {idle_total}")
+    if not 0 <= idle_total <= M:
+        raise ValueError(f"idle power must lie in [0, M], got {idle_total}")
     return (1 - idle_total / M) / 2
 
 
-def bystander_gain(coin, miners, attacker_schedule: StrategySchedule, honest_id: str) -> BystanderGain:
-    """Utility of an always-on miner while another runs a deviation schedule,
-    plus its gain over the equilibrium margin.
-
-    The bystander loses nothing in reduced epochs and collects the boosted
-    revenue per hash in full ones, so the gain is nonnegative and strictly
-    positive whenever the deviator actually idles power.
-    """
-    if honest_id not in {p.id for p in miners}:
-        raise ValueError(f"unknown miner '{honest_id}'")
-    if honest_id == attacker_schedule.miner_id:
-        raise ValueError("bystander must be distinct from the deviating miner")
-    u = periodic_utility(coin, miners, [attacker_schedule])[honest_id]
-    return BystanderGain(utility=u, gain=u - coin.epsilon)
-
-
-def entry_effect(coin, miners, attacker_schedule: StrategySchedule, entrant_power: float) -> EntryEffect:
+def entry_effect(coin, miners, schedules, entrant_power: float) -> EntryEffect:
     """Reduced-epoch revenue per hash before and after ``entrant_power`` e
-    joins only the high-revenue positions of the steady cycle.
+    joins only the high-revenue positions of the scenario's steady cycle, the
+    cycle that ``security_report`` reads for the same ``schedules``.
 
     Unclamped, H_j = tau*A_{j-1} over the cycle's total active powers A (index
     -1 wraps to the last position).  The entrant makes A'_j = A_j + e wherever
@@ -91,7 +73,7 @@ def entry_effect(coin, miners, attacker_schedule: StrategySchedule, entrant_powe
     if error := _workload_error(M + entrant_power, coin):
         raise ConfigurationError(f"entrant power {entrant_power!r}: with M = {M!r} + {entrant_power!r}, "
                                  f"the market power plus the entrant's, {error}")
-    cycle = steady_cycle(coin, miners, [attacker_schedule])
+    cycle = steady_cycle(coin, miners, schedules)
     actives = [rec.total_active for rec in cycle]
     rphs = [rec.rph for rec in cycle]
     lre = actives.index(min(actives))
@@ -115,21 +97,18 @@ def security_report(coin, miners, schedules) -> AttackReport:
 
     Idle power is accounted at the minimum-activity epoch of the common
     period, the conservative bound when deviation periods are misaligned.
-    Gains are each miner's steady-state utility over the margin epsilon.
-
-    The threshold is (1 - idle_fraction) / 2 on the reported fraction, the
-    float operations of ``attack_threshold``.  A weakest epoch whose active
-    power is positive but below about M*2**-53 leaves M - A rounded to M: it
-    reports an idle fraction of 1.0 and a threshold of 0.0.
+    Gains are each miner's steady-state utility over the margin epsilon: a
+    bystander's gain is its entry.  A weakest epoch whose active power is
+    positive but below about M*2**-53 leaves M - A rounded to M: it reports
+    an idle fraction of 1.0 and a threshold of 0.0.
     """
     cycle = steady_cycle(coin, miners, schedules)
     M = total_power(miners)
     lre_active = min(rec.total_active for rec in cycle)
-    idle_fraction = (M - lre_active) / M
     gains = {mid: u - coin.epsilon for mid, u in trace_utilities(cycle).items()}
     return AttackReport(
         lre_active_power=lre_active,
-        idle_fraction=idle_fraction,
-        attack_threshold=(1 - idle_fraction) / 2,
+        idle_fraction=(M - lre_active) / M,
+        attack_threshold=attack_threshold(M, M - lre_active),
         per_miner_gain=gains,
     )

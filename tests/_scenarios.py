@@ -78,3 +78,24 @@ ALWAYS_ON_CONFIG = {
     "schedules": [{"miner_id": "m03", "powers": [0.0, 9.5, 4.0], "offset": 1},
                   {"miner_id": "m07", "powers": [-0.0, 8.0, 15.5, 15.5, 3.0]}],
 }
+
+
+# tau 1e305: 2000 epochs last 2e308 in all, beyond the largest float, while
+# every time-weighted average fits; each miner earns the margin 0.5
+HUGE_TAU_CONFIG = {
+    "coin": {"tau": 1e305, "epsilon": 0.5},
+    "reward": "calibrated",
+    "miners": [{"id": mid, "m": 1.0, "fc": 1.0, "vc": 0.0} for mid in ("a", "b")],
+}
+
+# the market of HUGE_TAU_CONFIG with one 2000-epoch deviation: its steady
+# cycle's total time overflows too, and its gains do not depend on tau
+HUGE_TAU_SCHEDULE_CONFIG = dict(HUGE_TAU_CONFIG, schedules=[{"miner_id": "a", "powers": [0.5] + [1.0] * 1999}])
+
+# profit rate 5e307 in every epoch of duration 1: four epochs' weighted sum
+# is 2e308, beyond the largest float, while the average is 5e307
+HUGE_REWARD_CONFIG = {
+    "coin": {"tau": 1.0},
+    "reward": 1e308,
+    "miners": [{"id": mid, "m": 0.5, "fc": 1.0, "vc": 0.0} for mid in ("a", "b")],
+}

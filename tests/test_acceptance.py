@@ -18,7 +18,6 @@ from smartmining import (
     StrategySchedule,
     attack_threshold,
     brute_force_idle,
-    bystander_gain,
     calibrate_reward,
     dominance,
     entry_effect,
@@ -26,6 +25,7 @@ from smartmining import (
     optimal_idle,
     periodic_utility,
     run,
+    security_report,
     smart_utility,
     smarter_utility,
 )
@@ -168,7 +168,7 @@ def test_08_bystander_benefits_from_the_attack():
     gains = []
     for delta in np.linspace(0.0, attacker.m, 11):
         sched = alternation(attacker, float(delta))
-        gains.append(bystander_gain(coin, miners, sched, "bystander").gain)
+        gains.append(security_report(coin, miners, [sched]).per_miner_gain["bystander"])
         _record(coin, miners, [sched], horizon=6)
     full = gains[-1]
     nondecreasing = all(b >= a - 1e-15 for a, b in zip(gains, gains[1:]))
@@ -181,7 +181,7 @@ def test_09_entrant_depresses_weak_epoch_revenue():
     coin, miners = attack_trio()
     attacker = miners[0]
     sched = alternation(attacker, attacker.m)
-    eff = entry_effect(coin, miners, sched, 10.0)
+    eff = entry_effect(coin, miners, [sched], 10.0)
     ratio = eff.rph_lre_after / eff.rph_lre_before
     ok = (abs(ratio - 100.0 / 110.0) <= 1e-12 * (100.0 / 110.0)
           and eff.lre_active_before == eff.lre_active_after)

@@ -15,9 +15,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import smartmining
-from _scenarios import ALWAYS_ON_CONFIG, NO_REPEAT_CONFIG
+from _scenarios import (
+    ALWAYS_ON_CONFIG,
+    HUGE_REWARD_CONFIG,
+    HUGE_TAU_CONFIG,
+    HUGE_TAU_SCHEDULE_CONFIG,
+    NO_REPEAT_CONFIG,
+)
 from smartmining.cli import _load_scenario, main
 from smartmining.engine import run, trace_utilities
+from smartmining.security import entry_effect
 
 SMART_CONFIG = {
     "coin": {"tau": 600.0, "epsilon": 0.0},
@@ -215,6 +222,14 @@ INFINITE_PRICE_CONFIG = {
     "reward": 1.0,
     "miners": [{"id": "a", "m": 1e20, "fc": 0.0, "vc": 1e-20}, {"id": "b", "m": 1e-300, "fc": 1.0, "vc": 0.0}],
     "schedules": [{"miner_id": "a", "powers": [0.0, 0.0, 1e20]}],
+}
+
+# revenue rate w/(M*tau) * m = 1e300/1 * 5e9 overflows: the utilities are
+# infinite however their time-weighted sums are taken
+RATE_OVERFLOW_CONFIG = {
+    "coin": {"tau": 1e-10},
+    "reward": 1e300,
+    "miners": [{"id": mid, "m": 5e9, "fc": 1.0, "vc": 0.0} for mid in ("a", "b")],
 }
 
 # sha256 of `sweep --nx 50 --ny 50` output per mode, as the per-cell loop wrote it
@@ -625,13 +640,17 @@ class TestSecurityCommand:
             outputs[1] = outputs[1].replace(f'"{new}"', f'"{old}"')
         assert "entry_effect" in outputs[0] and outputs[0] == outputs[1]
 
-    def test_entrant_requires_single_schedule(self, tmp_path, capsys):
-        cfg = _write_config(tmp_path, HONEST_CONFIG)
-        assert main(["security", cfg, "--entrant", "10"]) == 2
-        capsys.readouterr()
+    def test_entrant_answers_for_any_schedules(self, tmp_path, capsys):
+        # no schedule, and two deviators of periods 2 and 3
+        two = dict(SMART_CONFIG, schedules=SMART_CONFIG["schedules"] + [{"miner_id": "rest", "powers": [80.0, 40.0, 80.0]}])
+        for name, doc in (("honest", HONEST_CONFIG), ("two", two)):
+            cfg = _write_config(tmp_path, doc, name=f"{name}.json")
+            assert main(["security", cfg, "--entrant", "10"]) == 0
+            block = json.loads(capsys.readouterr().out)["entry_effect"]
+            assert block == entry_effect(*_load_scenario(cfg), 10.0)._asdict()
 
     @pytest.mark.parametrize("deviators,entrant,code", [
-        (["attacker", "rest"], "5", 2),   # --entrant needs exactly one schedule
+        (["attacker", "rest"], "5", 3),   # a valid request that stalls, with two schedules
         (["attacker", "rest"], "-5", 2),
         (["attacker"], "-5", 2),
         (["attacker"], "nan", 2),
@@ -668,6 +687,45 @@ class TestSecurityCommand:
         assert main(["security", cfg]) == 2
         errors = json.loads(capsys.readouterr().err)
         assert any("unclamped" in e and "simulate" in e for e in errors)
+
+
+# epoch 1 lasts 2e-156 while a, idle, pays its fixed cost 1e-157: the
+# weighted term -2e-313 underflows to a subnormal and loses bits
+TINY_WEIGHT_CONFIG = {
+    "coin": {"tau": 1e-156},
+    "miners": [{"id": "a", "m": 1.0, "fc": 1e-157, "vc": 0.0}, {"id": "b", "m": 1.0, "fc": 0.0, "vc": 1.0}],
+    "schedules": [{"miner_id": "a", "powers": [0.0, 1.0]}],
+}
+
+
+class TestTimeWeightsOutOfRange:
+    """Utilities whose total time or weighted sums leave the float range, while each utility fits."""
+
+    def _utilities(self, tmp_path, doc, epochs):
+        out = tmp_path / f"out{epochs}"
+        assert main(["simulate", _write_config(tmp_path, doc), "--epochs", str(epochs), "--out", str(out)]) == 0
+        return json.loads((out / "summary.json").read_text(encoding="utf-8"))["utilities"]
+
+    def test_total_time_beyond_the_largest_float(self, tmp_path):
+        # 2000 epochs of 1e305 each: the margin, as over 1000 epochs
+        for epochs in (1000, 2000):
+            assert self._utilities(tmp_path, HUGE_TAU_CONFIG, epochs) == {"a": 0.5, "b": 0.5}
+
+    def test_weighted_sum_beyond_the_largest_float(self, tmp_path):
+        for epochs in (3, 4):
+            assert self._utilities(tmp_path, HUGE_REWARD_CONFIG, epochs) == {"a": 5e307, "b": 5e307}
+
+    def test_weighted_sum_below_the_smallest_normal_float(self, tmp_path):
+        assert self._utilities(tmp_path, TINY_WEIGHT_CONFIG, 1)["a"] == -1e-157
+
+    def test_security_gains_do_not_depend_on_tau(self, tmp_path, capsys):
+        gains = []
+        for tau in (1.0, 1e305):
+            doc = dict(HUGE_TAU_SCHEDULE_CONFIG, coin=dict(HUGE_TAU_SCHEDULE_CONFIG["coin"], tau=tau))
+            assert main(["security", _write_config(tmp_path, doc)]) == 0
+            gains.append(json.loads(capsys.readouterr().out)["per_miner_gain"])
+        assert gains[0]["a"] < 0 < gains[0]["b"]
+        assert gains[1] == pytest.approx(gains[0], rel=0, abs=1e-15)
 
 
 class TestClampedSimulation:
@@ -831,6 +889,8 @@ BAD_INPUTS = {
                                  "underflows: the boosted epoch workload must be > 0"),
     "non-finite-result": (HUGE_BOOST_CONFIG, ["analyze", "--miner", "a"],
                           ("not JSON compliant", "epoch_table.rph_hre")),
+    "rate-overflow-simulate": (RATE_OVERFLOW_CONFIG, ["simulate", "--epochs", "2", "--out", "out"],
+                               ("not JSON compliant", "utilities.a")),
     "infinite-price-simulate": (INFINITE_PRICE_CONFIG, ["simulate", "--epochs", "2", "--out", "out"],
                                 "epoch 2: revenue per hash w/H = 1.0/1e-320 overflows"),
     "infinite-duration-simulate": (INFINITE_DURATION_CONFIG, ["simulate", "--epochs", "1", "--out", "out"],
@@ -981,25 +1041,42 @@ _MAGNITUDES = st.builds(lambda mantissa, exponent: mantissa * 10.0 ** exponent,
 
 @st.composite
 def _scaled_invocations(draw):
-    """``analyze``, ``optimize`` or ``security --entrant`` on a two-miner
-    market whose numbers are each drawn from 1e-300 to 1e300: a market at any
-    scale, which patching one field of SMART_CONFIG never builds."""
+    """``analyze``, ``optimize``, ``security --entrant`` or ``simulate`` on a
+    two-miner market whose numbers are each drawn from 1e-300 to 1e300: a
+    market at any scale, which patching one field of SMART_CONFIG never builds."""
     m_a, m_b = draw(_MAGNITUDES), draw(_MAGNITUDES)
     miners = [{"id": mid, "m": m, "fc": draw(st.just(0.0) | _MAGNITUDES), "vc": draw(st.just(0.0) | _MAGNITUDES)}
               for mid, m in (("a", m_a), ("b", m_b))]
     doc = {"coin": {"tau": draw(_MAGNITUDES)}, "reward": draw(st.just("calibrated") | _MAGNITUDES),
            "miners": miners, "schedules": [{"miner_id": "a", "powers": [0.0, m_a]}]}
-    command = draw(st.sampled_from(["analyze", "optimize", "security"]))
+    command = draw(st.sampled_from(["analyze", "optimize", "security", "simulate"]))
     if command == "security":
         return doc, command, ["--entrant", repr(draw(st.just(0.0) | _MAGNITUDES))]
+    if command == "simulate":
+        return doc, command, ["--epochs", str(draw(st.integers(1, 20)))]
     return doc, command, ["--miner", "a"]
+
+
+def _check_utilities_within_rates(out):
+    """Each utility in ``out``'s summary.json lies between its miner's smallest
+    and largest profit rate in trace.csv, up to 1e-12 of the largest |rate|:
+    a time-weighted average is a convex combination of the rates."""
+    with open(os.path.join(out, "summary.json"), encoding="utf-8") as fh:
+        utilities = json.load(fh)["utilities"]
+    with open(os.path.join(out, "trace.csv"), encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    for i, (mid, u) in enumerate(utilities.items()):
+        rates = [float(row[7 + 4 * i]) for row in rows]   # the miner's P column, after k, H, t, rph
+        slack = 1e-12 * max(map(abs, rates))
+        assert min(rates) - slack <= u <= max(rates) + slack, (mid, u, min(rates), max(rates))
 
 
 def _check_contract(doc, command, flags):
     """Run the CLI in this process on config ``doc``: a known exit code, no
     traceback, a JSON error document on stderr for a failure and nothing on
-    stderr for a success.  A bare "float division by zero" names no input,
-    so it may not stand as an error."""
+    stderr for a success, where a ``simulate`` writes utilities within its
+    miners' rates.  A bare "float division by zero" names no input, so it may
+    not stand as an error."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg = os.path.join(tmp, "config.json")
         with open(cfg, "w", encoding="utf-8") as fh:
@@ -1010,6 +1087,8 @@ def _check_contract(doc, command, flags):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
+        if code == 0 and command == "simulate":
+            _check_utilities_within_rates(os.path.join(tmp, "out"))
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in out.getvalue() + err.getvalue()
     if code == 0:

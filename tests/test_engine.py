@@ -737,6 +737,21 @@ class TestTraceUtilities:
         want = _dict_trace_utilities(records)
         assert [(mid, u.hex()) for mid, u in got.items()] == [(mid, u.hex()) for mid, u in want.items()]
 
+    @given(
+        powers_a=st.lists(_POWERS.map(lambda f: 60.0 * f), min_size=1, max_size=4),
+        offset=st.integers(0, 5),
+        clamp=st.sampled_from([None, 1.05, 1.5]),
+        horizon=st.integers(1, 30),
+    )
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_rescaled_sums_keep_the_bits(self, powers_a, offset, clamp, horizon):
+        # the fallback of trace_utilities agrees wherever the plain sums lose nothing
+        miners = _two_miners() + [MinerParams("c", 10.0, 0.02, 0.005)]
+        records = run(_coin(clamp=clamp), miners, [StrategySchedule("a", tuple(powers_a), offset=offset)],
+                      horizon).records
+        assert [(mid, u.hex()) for mid, u in engine._rescaled_utilities(records).items()] == \
+            [(mid, u.hex()) for mid, u in trace_utilities(records).items()]
+
     def test_no_records_give_no_utilities(self):
         assert trace_utilities([]) == {}
         assert trace_utilities(()) == {}

@@ -11,7 +11,6 @@ from smartmining import (
     MinerParams,
     StrategySchedule,
     attack_threshold,
-    bystander_gain,
     calibrate_reward,
     entry_effect,
     security_report,
@@ -19,10 +18,11 @@ from smartmining import (
 )
 
 
-def _simulated_entry_effect(coin, miners, attacker_schedule, entrant_power):
+def _simulated_entry_effect(coin, miners, schedules, entrant_power):
     """Oracle for ``entry_effect``: simulate a second steady cycle with a real
-    entrant miner, id "entrant", on the maximal-revenue positions of the first."""
-    before = steady_cycle(coin, miners, [attacker_schedule])
+    entrant miner, id "entrant", scheduled on the maximal-revenue positions of
+    the first."""
+    before = steady_cycle(coin, miners, schedules)
     actives = [rec.total_active for rec in before]
     lre = actives.index(min(actives))
     rphs = [rec.rph for rec in before]
@@ -32,7 +32,7 @@ def _simulated_entry_effect(coin, miners, attacker_schedule, entrant_power):
     else:
         entrant = MinerParams("entrant", m=entrant_power, fc=0.0, vc=1.0)
         joined = StrategySchedule("entrant", tuple(entrant_power if r == rphs[hre] else 0.0 for r in rphs))
-        after = steady_cycle(coin, list(miners) + [entrant], [attacker_schedule, joined])
+        after = steady_cycle(coin, list(miners) + [entrant], list(schedules) + [joined])
     return EntryEffect(
         entrant_power=entrant_power,
         rph_lre_before=before[lre].rph,
@@ -46,18 +46,20 @@ def _simulated_entry_effect(coin, miners, attacker_schedule, entrant_power):
 
 
 def _random_entry(rng):
-    """A random calibrated market, one deviation schedule on it, and an entrant power."""
+    """A random calibrated market, 0 to 4 deviation schedules on it (one
+    miner always mines at full power), and an entrant power."""
     miners = [MinerParams(f"m{j}", m=rng.uniform(0.1, 100.0), fc=rng.uniform(0.0, 1.0),
                           vc=rng.uniform(0.001, 0.1)) for j in range(rng.randint(2, 12))]
     tau = rng.choice([1e-3, 1.0, 600.0])
     coin = CoinParams(tau=tau, epsilon=0.0, w=calibrate_reward(miners, tau, 0.0))
-    attacker = rng.choice(miners)
-    # repeated entries tie revenue per hash across several cycle positions
-    powers = tuple(rng.choice([0.0, attacker.m / 2, attacker.m, rng.uniform(0.0, attacker.m)])
-                   for _ in range(rng.randint(1, 9)))
-    schedule = StrategySchedule(attacker.id, powers, offset=rng.randint(0, 12))
+    schedules = []
+    for deviator in rng.sample(miners, rng.randint(0, min(4, len(miners) - 1))):
+        # repeated entries tie revenue per hash across several cycle positions
+        powers = tuple(rng.choice([0.0, deviator.m / 2, deviator.m, rng.uniform(0.0, deviator.m)])
+                       for _ in range(rng.randint(1, 9)))
+        schedules.append(StrategySchedule(deviator.id, powers, offset=rng.randint(0, 12)))
     entrant = rng.choice([0.0, 1e-300, 0.5, 10.0, rng.uniform(0.0, 100.0), 1e12])
-    return coin, miners, schedule, entrant
+    return coin, miners, schedules, entrant
 
 
 class TestAttackThreshold:
@@ -74,53 +76,50 @@ class TestAttackThreshold:
         for f in np.linspace(0.0, 0.99, 34):
             assert attack_threshold(1.0, float(f)) + f / 2 == pytest.approx(0.5, rel=1e-12)
 
-    @pytest.mark.parametrize("M,idle", [(100.0, 100.0), (100.0, 120.0), (100.0, -1.0), (0.0, 0.0)])
+    def test_all_idle_leaves_no_threshold(self):
+        assert attack_threshold(100.0, 100.0) == 0.0
+
+    @pytest.mark.parametrize("M,idle", [(100.0, 120.0), (100.0, -1.0), (0.0, 0.0)])
     def test_domain_errors(self, M, idle):
         with pytest.raises(ValueError):
             attack_threshold(M, idle)
 
 
+def _bystander_gain(coin, miners, schedule):
+    return security_report(coin, miners, [schedule]).per_miner_gain["bystander"]
+
+
 class TestBystanderGain:
+    """The bystander's entry of ``security_report``'s per-miner gains."""
+
     def test_honest_deviator_no_gain(self):
         coin, miners = attack_trio()
         attacker = miners[0]
-        result = bystander_gain(coin, miners, alternation(attacker, 0.0), "bystander")
-        assert abs(result.gain) <= 1e-14
+        assert abs(_bystander_gain(coin, miners, alternation(attacker, 0.0))) <= 1e-14
 
     def test_reference_scenario(self):
         # attacker 20 fully idles every other epoch: the 10-power bystander
         # earns 0 in reduced epochs and 10*w/(80*tau) - 0.1 = 0.025 in boosted
-        # ones, time-weighted by (480, 750): u = 12/1230
+        # ones, time-weighted by (480, 750): u = 12/1230 over a margin of 0
         coin, miners = attack_trio()
         attacker = miners[0]
-        result = bystander_gain(coin, miners, alternation(attacker, attacker.m), "bystander")
-        assert result.utility == pytest.approx(12.0 / 1230.0, rel=1e-12)
-        assert result.gain == pytest.approx(12.0 / 1230.0, rel=1e-12)
+        assert _bystander_gain(coin, miners, alternation(attacker, attacker.m)) == \
+            pytest.approx(12.0 / 1230.0, rel=1e-12)
 
     def test_gain_increases_with_idle_power(self):
         coin, miners = attack_trio()
         attacker = miners[0]
-        gains = [bystander_gain(coin, miners, alternation(attacker, d), "bystander").gain
-                 for d in np.linspace(0.0, attacker.m, 11)]
+        gains = [_bystander_gain(coin, miners, alternation(attacker, d)) for d in np.linspace(0.0, attacker.m, 11)]
         assert gains[0] == pytest.approx(0.0, abs=1e-14)
         assert all(b >= a - 1e-15 for a, b in zip(gains, gains[1:]))
         assert gains[-1] > 0
-
-    def test_unknown_and_self_bystander_rejected(self):
-        coin, miners = attack_trio()
-        attacker = miners[0]
-        sched = alternation(attacker, attacker.m)
-        with pytest.raises(ValueError):
-            bystander_gain(coin, miners, sched, "ghost")
-        with pytest.raises(ValueError):
-            bystander_gain(coin, miners, sched, "attacker")
 
 
 class TestEntryEffect:
     def test_zero_power_entrant_changes_nothing(self):
         coin, miners = attack_trio()
         attacker = miners[0]
-        eff = entry_effect(coin, miners, alternation(attacker, attacker.m), 0.0)
+        eff = entry_effect(coin, miners, [alternation(attacker, attacker.m)], 0.0)
         assert eff.rph_lre_before == eff.rph_lre_after
         assert eff.rph_hre_before == eff.rph_hre_after
 
@@ -129,7 +128,7 @@ class TestEntryEffect:
         # the reduced epoch rises from 100*tau to 110*tau
         coin, miners = attack_trio()
         attacker = miners[0]
-        eff = entry_effect(coin, miners, alternation(attacker, attacker.m), 10.0)
+        eff = entry_effect(coin, miners, [alternation(attacker, attacker.m)], 10.0)
         assert eff.rph_lre_after / eff.rph_lre_before == pytest.approx(100.0 / 110.0, rel=1e-12)
         # the reduced epoch keeps its 80 active power, so the boosted epoch's
         # own revenue per hash is untouched
@@ -140,7 +139,7 @@ class TestEntryEffect:
     def test_any_positive_entrant_decreases_reduced_epoch_revenue(self):
         coin, miners = attack_trio()
         attacker = miners[0]
-        sched = alternation(attacker, 0.5 * attacker.m)
+        sched = [alternation(attacker, 0.5 * attacker.m)]
         for power in (0.5, 5.0, 40.0):
             eff = entry_effect(coin, miners, sched, power)
             assert eff.rph_lre_after < eff.rph_lre_before
@@ -149,25 +148,27 @@ class TestEntryEffect:
     def test_negative_power_rejected(self):
         coin, miners = attack_trio()
         with pytest.raises(ValueError):
-            entry_effect(coin, miners, alternation(miners[0], 10.0), -1.0)
+            entry_effect(coin, miners, [alternation(miners[0], 10.0)], -1.0)
 
     def test_underflowing_baseline_price_rejected(self):
         # every price of the cycle would read 0.0, so rph_lre_ratio would divide by 0
         coin = CoinParams(tau=1e300, epsilon=0.0, w=1e-300)
         miners = [MinerParams("a", 3e-151, 0.0, 1.0), MinerParams("b", 7e-151, 0.1, 0.01)]
         with pytest.raises(ConfigurationError, match="the baseline price must be > 0"):
-            entry_effect(coin, miners, alternation(miners[0], miners[0].m), 0.0)
+            entry_effect(coin, miners, [alternation(miners[0], miners[0].m)], 0.0)
 
     def test_closed_form_matches_simulated_entrant(self):
         # the closed form reads the base cycle; the oracle simulates the entrant
         rng = random.Random(20190)
-        entrants = set()
+        entrants, schedule_counts = set(), set()
         for _ in range(300):
-            coin, miners, schedule, entrant = _random_entry(rng)
-            assert entry_effect(coin, miners, schedule, entrant) == \
-                _simulated_entry_effect(coin, miners, schedule, entrant)
+            coin, miners, schedules, entrant = _random_entry(rng)
+            assert entry_effect(coin, miners, schedules, entrant) == \
+                _simulated_entry_effect(coin, miners, schedules, entrant)
             entrants.add(entrant)
+            schedule_counts.add(len(schedules))
         assert {0.0, 1e-300, 1e12} <= entrants
+        assert schedule_counts == {0, 1, 2, 3, 4}
 
     def test_phase_shifted_deviation_gives_same_effect(self):
         # the boosted-epoch detection follows the realized cycle, not the
@@ -175,7 +176,7 @@ class TestEntryEffect:
         coin, miners = attack_trio()
         attacker = miners[0]
         shifted = alternation(attacker, attacker.m, offset=1)
-        eff = entry_effect(coin, miners, shifted, 10.0)
+        eff = entry_effect(coin, miners, [shifted], 10.0)
         assert eff.rph_lre_after / eff.rph_lre_before == pytest.approx(100.0 / 110.0, rel=1e-12)
         assert eff.lre_active_before == eff.lre_active_after == 80.0
 
