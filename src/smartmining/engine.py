@@ -47,7 +47,8 @@ def _rates(rph: float, miners, powers) -> list[MinerEpochStats]:
             for (mid, _, fc, vc), mhat in zip(miners, powers)]
 
 
-def step_epoch(k: int, H: float, active, coin, miners, *, per_miner=None) -> tuple[EpochRecord, float]:
+def step_epoch(k: int, H: float, active, coin, miners, *, per_miner=None,
+               total=None) -> tuple[EpochRecord, float]:
     """Advance one epoch and return (record, next workload).
 
     ``miners`` holds (id, m, fc, vc) records, such as ``MinerParams``, read
@@ -71,15 +72,25 @@ def step_epoch(k: int, H: float, active, coin, miners, *, per_miner=None) -> tup
     check above still runs in the same order, and (k, H, t, rph) and the next
     workload keep their bits.  ``_simulate`` passes a tuple of the rates this
     epoch's workload and active powers give, built from shared entries.
+
+    A ``total`` given together with ``per_miner`` stands for a state that the
+    caller built from checked powers: it is the epoch's active power A, the
+    ``ordered_sum`` of the powers in config order, and the epoch reads neither
+    ``active`` nor the capacities.  The checks on k, H, A, the duration and
+    the price run in the same order with the same messages.  With either one
+    missing, ``total`` is ignored.
     """
     if k < 1:
         raise ValueError(f"epoch index must be >= 1, got {k}")
     if H <= 0:
         raise ValueError(f"epoch {k}: epoch workload must be > 0, got {H}")
-    powers = [mhat if 0 <= (mhat := active.get(mid, m)) <= m
-              else _require(False, f"active power {mhat} outside [0, {m}] for miner '{mid}'")
-              for mid, m, _, _ in miners]
-    A = ordered_sum(powers)
+    if per_miner is None or total is None:
+        powers = [mhat if 0 <= (mhat := active.get(mid, m)) <= m
+                  else _require(False, f"active power {mhat} outside [0, {m}] for miner '{mid}'")
+                  for mid, m, _, _ in miners]
+        A = ordered_sum(powers)
+    else:
+        A = total
     if A <= 0:
         raise StalledEpochError(k)
     t = H / A
@@ -107,8 +118,13 @@ def _check_scenario(coin, miners, schedules) -> None:
 def _simulate(coin, miners, schedules, horizon: int):
     """Yield the records of epochs 1..horizon from the calibrated start H_1 = M*tau.
 
-    The active map holds the scheduled miners only; ``step_epoch`` runs every
-    other miner at full capacity.
+    Each phase k mod p has one row (A, *scheduled powers): the scheduled
+    miners' powers in schedule order, after A, the ``ordered_sum`` of the
+    phase's full power row in config order, every other miner at capacity.
+    Those are the floats ``step_epoch`` adds, in its order, so A has its bits,
+    and ``validate_scenario`` has checked every schedule power against its
+    miner's capacity.  Every step gets ``total=A``; an epoch that takes
+    ``step_epoch``'s full path gets an active map of the scheduled miners too.
 
     Every epoch makes one ``step_epoch`` call, in order.  Among epochs whose
     phase recurs within the horizon, each (workload, miner, power bits) has
@@ -116,13 +132,13 @@ def _simulate(coin, miners, schedules, horizon: int):
     ``per_miner`` tuple.  The bits, not the float values, decide: -0.0 ==
     0.0, yet a -0.0 power writes its own ``mhat`` and ``R``.
 
-    The first state at a workload H takes ``step_epoch``'s rates, so an
-    unseen H passes every check before its rates are built.  A later state
-    at H starts from that tuple: a scheduled miner at another power takes
-    its entry from a memo by power bits and H, built on first use, and a
-    state whose every entry is the first's is the first state again.  Only
-    epochs whose phase recurs store their state, their entries and their
-    phase's active map, and the first state at H is found by H alone, so a
+    The first state at a workload H takes ``step_epoch``'s full path and its
+    rates, so an unseen H passes every check before its rates are built.  A
+    later state at H starts from that tuple: a scheduled miner at another
+    power takes its entry from a memo by power bits and H, built on first
+    use, and a state whose every entry is the first's is the first state
+    again.  Only epochs whose phase recurs store their state, their entries
+    and their phase's row, and the first state at H is found by H alone, so a
     trace that never repeats stores no state key.
     """
     H = total_power(miners) * coin.tau
@@ -131,29 +147,34 @@ def _simulate(coin, miners, schedules, horizon: int):
     column = {p[0]: i for i, p in enumerate(miners)}
     plan = [(s.miner_id, s.powers, s.offset - 1, s.period) for s in schedules]   # StrategySchedule.power_at, inlined
     scheduled = [(column[mid], miners[column[mid]]) for mid, *_ in plan]   # (position, miner) in schedule order
+    capacities = [m for _, m, _, _ in miners]
     p = math.lcm(*(n for *_, n in plan))
-    state_bits = struct.Struct(f"{len(plan) + 1}d").pack
+    state_bits = struct.Struct(f"{len(plan) + 2}d").pack
     power_bits = struct.Struct("d").pack
-    phases = {}     # k mod p -> active map
+    phases = {}     # k mod p -> (A, *scheduled powers)
     firsts = {}     # H -> per_miner of the first state at workload H
-    shared = {}     # bits of (H, scheduled powers) -> per_miner of a state at a known H
+    shared = {}     # bits of (H, A, scheduled powers) -> per_miner of a state at a known H
     # per scheduled miner: power bits -> {H: its rates}; no (H, power) keys,
     # whose tuples, freed at the end, would keep arenas mapped
     memo = [{} for _ in plan]
     for k in range(1, horizon + 1):
         recurs = k + p <= horizon
-        active = phases.get(k % p)
-        if active is None:
-            active = {mid: ps[(shift + k) % n] for mid, ps, shift, n in plan}
+        row = phases.get(k % p)
+        if row is None:
+            powers = [ps[(shift + k) % n] for _, ps, shift, n in plan]
+            full = capacities.copy()
+            for (i, _), mhat in zip(scheduled, powers):
+                full[i] = mhat
+            row = (ordered_sum(full), *powers)
             if recurs:
-                phases[k % p] = active
-        key = state_bits(H, *active.values())
+                phases[k % p] = row
+        key = state_bits(H, *row)   # A is a function of the scheduled powers
         per = shared.get(key)
         first = None if per is not None else firsts.get(H)
         if first is not None:   # a state at a known H: only scheduled miners can differ from its first state
             # step_epoch's own rph; this H passed its checks in its first state
             rph, per = coin.w / H, list(first)
-            for (i, miner), by_bits, mhat in zip(scheduled, memo, active.values()):
+            for (i, miner), by_bits, mhat in zip(scheduled, memo, row[1:]):
                 if mhat != first[i][1] or math.copysign(1.0, mhat) != math.copysign(1.0, first[i][1]):
                     by_H = by_bits.setdefault(power_bits(mhat), {})
                     per[i] = by_H.get(H) or _rates(rph, (miner,), (mhat,))[0]
@@ -162,7 +183,8 @@ def _simulate(coin, miners, schedules, horizon: int):
             per = tuple(per) if any(per[i] is not first[i] for i, _ in scheduled) else first
             if recurs:   # later epochs in this state then find it in one lookup
                 shared[key] = per
-        record, H_next = step_epoch(k, H, active, coin, miners, per_miner=per)
+        active = None if per is not None else {mid: mhat for (mid, *_), mhat in zip(plan, row[1:])}
+        record, H_next = step_epoch(k, H, active, coin, miners, per_miner=per, total=row[0])
         if per is None and recurs:   # the first state at H
             firsts[H] = record.per_miner
         H = H_next

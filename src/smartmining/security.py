@@ -55,6 +55,14 @@ def attack_threshold(M: float, idle_total: float) -> float:
     return (1 - idle_total / M) / 2
 
 
+def _total_actives(cycle) -> list[float]:
+    """Each record's total active power, summed once per distinct ``per_miner``
+    tuple: records of one state share theirs (``steady_cycle``)."""
+    by_state = {}
+    return [by_state[key] if (key := id(rec.per_miner)) in by_state else by_state.setdefault(key, rec.total_active)
+            for rec in cycle]
+
+
 def entry_effect(coin, miners, schedules, entrant_power: float) -> EntryEffect:
     """Reduced-epoch revenue per hash before and after ``entrant_power`` e
     joins only the high-revenue positions of the scenario's steady cycle, the
@@ -74,7 +82,7 @@ def entry_effect(coin, miners, schedules, entrant_power: float) -> EntryEffect:
         raise ConfigurationError(f"entrant power {entrant_power!r}: with M = {M!r} + {entrant_power!r}, "
                                  f"the market power plus the entrant's, {error}")
     cycle = steady_cycle(coin, miners, schedules)
-    actives = [rec.total_active for rec in cycle]
+    actives = _total_actives(cycle)
     rphs = [rec.rph for rec in cycle]
     lre = actives.index(min(actives))
     hre = rphs.index(max(rphs))
@@ -104,7 +112,7 @@ def security_report(coin, miners, schedules) -> AttackReport:
     """
     cycle = steady_cycle(coin, miners, schedules)
     M = total_power(miners)
-    lre_active = min(rec.total_active for rec in cycle)
+    lre_active = min(_total_actives(cycle))
     gains = {mid: u - coin.epsilon for mid, u in trace_utilities(cycle).items()}
     return AttackReport(
         lre_active_power=lre_active,

@@ -8,6 +8,8 @@ all deviation closed forms are derived against.  ``NO_REPEAT_CONFIG`` and
 that compares outputs across Python versions.
 """
 
+import math
+
 from smartmining import (
     AggregateContext,
     CoinParams,
@@ -45,6 +47,20 @@ def attack_trio(tau=600.0, epsilon=0.0):
     miners = [attacker, bystander, rest]
     w = calibrate_reward(miners, tau, epsilon)
     return CoinParams(tau=tau, epsilon=epsilon, w=w), miners
+
+
+def scaled_market(coin, miners, schedules, a, b, c):
+    """The scenario with hash powers and schedule powers scaled by 2**a, tau
+    by 2**c, fc and epsilon by 2**b, vc by 2**(b - a) and the reward w by
+    2**(b + c).  While every intermediate stays normal, H scales by
+    2**(a + c), t by 2**c, rph by 2**(b - a), and rates, utilities and
+    gains by 2**b, bit for bit; ratios of powers keep their bits."""
+    coin = CoinParams(tau=math.ldexp(coin.tau, c), epsilon=math.ldexp(coin.epsilon, b),
+                      w=math.ldexp(coin.w, b + c), clamp=coin.clamp)
+    miners = [MinerParams(p.id, math.ldexp(p.m, a), math.ldexp(p.fc, b), math.ldexp(p.vc, b - a)) for p in miners]
+    schedules = [StrategySchedule(s.miner_id, tuple(math.ldexp(x, a) for x in s.powers), s.offset)
+                 for s in schedules]
+    return coin, miners, schedules
 
 
 def context_for(coin, miners) -> AggregateContext:

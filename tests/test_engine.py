@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _scenarios import ALWAYS_ON_CONFIG, NO_REPEAT_CONFIG, alternation, context_for, proportional_scenario
+from _scenarios import (ALWAYS_ON_CONFIG, NO_REPEAT_CONFIG, alternation, context_for, proportional_scenario,
+                        scaled_market)
 from smartmining import engine
 from smartmining import (
     CoinParams,
@@ -25,6 +26,7 @@ from smartmining import (
     total_power,
     trace_utilities,
 )
+from smartmining.model import ordered_sum
 
 
 def _two_miners():
@@ -128,6 +130,8 @@ def _step_outcome(k, H, active, coin, miners, **per_miner):
 _CAPACITIES = st.sampled_from([1e-310, 1e-300, 1.0, 40.0, 1e20])
 # shares of capacity: +-0, inside [0, 1], and outside it (out-of-range powers)
 _SHARES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1.5, float("nan")]) | st.floats(0.0, 1.0)
+# in-range shares of capacity, as validate_scenario admits schedule powers
+_SHARE_POWERS = st.sampled_from([0.0, -0.0, 1.0]) | st.floats(0.0, 1.0)
 _STEP_MINERS = [MinerParams("a", 40.0, 0.1, 0.01), MinerParams("b", 1.0, 0.0, 1.0),
                 MinerParams("c", 1e-310, 1.0, 0.0)]
 
@@ -174,6 +178,38 @@ class TestBareStep:
         kind, message = _step_outcome(k, H, active, coin, miners, per_miner=())
         assert fragment in message
         assert (kind, message) == _step_outcome(k, H, active, coin, miners)
+        if "outside" not in fragment:   # in-range powers, as a caller that passes total has checked
+            total = ordered_sum(active.get(p.id, p.m) for p in miners)
+            assert _step_outcome(k, H, None, coin, miners, per_miner=(), total=total) == (kind, message)
+
+    @given(
+        k=st.integers(0, 9),
+        H=st.sampled_from([-1.0, 0.0, -0.0, 1e-320, 1e-300, 1.0, 6e4, 1e300]) | st.floats(1e-3, 1e6),
+        capacities=st.lists(_CAPACITIES, min_size=1, max_size=3),
+        shares=st.lists(st.none() | _SHARE_POWERS, min_size=3, max_size=3),
+        tau=st.sampled_from([1e-20, 600.0]),
+        w=st.sampled_from([1.0, 600.0, 1e300]),
+        clamp=st.sampled_from([None, 1.05, 4.0]),
+    )
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_total_with_per_miner_matches_the_full_step(self, k, H, capacities, shares, tau, w, clamp):
+        # total = the ordered_sum of the checked powers, given with per_miner:
+        # the same record and next workload, or the same raise, as the full
+        # step, which reads the active map and the capacities that this step
+        # is denied (None and nan)
+        miners = [MinerParams(p.id, m, p.fc, p.vc) for p, m in zip(_STEP_MINERS, capacities)]
+        active = {p.id: f * p.m for p, f in zip(miners, shares) if f is not None}
+        coin = CoinParams(tau=tau, epsilon=0.0, w=w, clamp=clamp)
+        total = ordered_sum(active.get(p.id, p.m) for p in miners)
+        full = _step_outcome(k, H, active, coin, miners)
+        given = full[5] if len(full) == 6 else (MinerEpochStats("x", 1.0, 2.0, 3.0, -1.0),)
+        blind = [(p.id, math.nan, p.fc, p.vc) for p in miners]
+        fast = _step_outcome(k, H, None, coin, blind, per_miner=given, total=total)
+        assert fast == full
+        if len(full) == 6:
+            assert fast[5] is given
+        # without per_miner, total is not read: one that would stall changes nothing
+        assert _step_outcome(k, H, active, coin, miners, total=-1.0) == full
 
 
 class TestRun:
@@ -476,15 +512,43 @@ class TestStreamingSimulation:
         # the repeating scenario's states recur across phases
         assert len({id(rec.per_miner) for rec in cycle}) < p
 
+    def test_every_step_gets_its_phase_total(self, monkeypatch):
+        # _simulate hands every step_epoch call the ordered_sum A of its
+        # epoch's powers, and a step without shared rates, which takes the
+        # full path, the scheduled miners' active map too; steady_cycle and
+        # a clamped run still make one call per epoch, 3p for the cycle
+        calls = []
+
+        def recording_step(k, H, active, coin, miners, *, per_miner=None, total=None):
+            rec, H_next = step_epoch(k, H, active, coin, miners, per_miner=per_miner, total=total)
+            calls.append((rec, active, per_miner, total))
+            return rec, H_next
+
+        monkeypatch.setattr(engine, "step_epoch", recording_step)
+        for coin, miners, schedules in (_three_period_scenario(), _repeating_state_scenario()):
+            p = math.lcm(*(s.period for s in schedules))
+            clamped = CoinParams(tau=coin.tau, epsilon=coin.epsilon, w=coin.w, clamp=1.1)
+            for coin, horizon in ((coin, 3 * p), (clamped, 40)):
+                plain = _plain_step_loop(coin, miners, schedules, horizon)
+                calls.clear()
+                if coin.clamp is None:
+                    steady_cycle(coin, miners, schedules)
+                else:
+                    run(coin, miners, schedules, horizon)
+                assert len(calls) == horizon
+                for (rec, active, per_miner, total), want in zip(calls, plain):
+                    assert _bits(rec) == _bits(want)
+                    assert total.hex() == ordered_sum(s.active_power for s in want.per_miner).hex()
+                    if per_miner is None:
+                        assert active == {s.miner_id: s.power_at(rec.k) for s in schedules}
+                assert {per_miner is None for _, _, per_miner, _ in calls} == {True, False}
+
     @pytest.mark.parametrize("clamp", [None, 1.1])
     def test_run_matches_hand_loop_with_full_active_map(self, clamp):
         coin, miners, schedules = _three_period_scenario()
         coin = CoinParams(tau=coin.tau, epsilon=coin.epsilon, w=coin.w, clamp=clamp)
         expected = [_bits(r) for r in _plain_step_loop(coin, miners, schedules, 40)]
         assert [_bits(r) for r in run(coin, miners, schedules, 40).records] == expected
-
-
-_SHARE_POWERS = st.sampled_from([0.0, -0.0, 1.0]) | st.floats(0.0, 1.0)
 
 
 _CYCLE_SHARES = st.lists(st.lists(_SHARE_POWERS, min_size=1, max_size=6), min_size=1, max_size=3)
@@ -702,6 +766,40 @@ class TestSharedRates:
                                     for rec in cycle)
             # a subnormal power carries an absolute, not a relative, rounding error
             assert earned == pytest.approx(identity, rel=1e-12, abs=1e-300)
+
+
+# shares of moderate size: every scaled power, rate and sum stays normal
+_MODERATE_SHARES = st.sampled_from([0.0, -0.0, 1.0]) | st.floats(1 / 64, 1.0)
+_EXPONENTS = st.integers(-200, 200)
+
+
+def _scaled_bits(rec, a, b, c):
+    """``_bits`` of the record that the market of ``scaled_market(..., a, b, c)`` gives."""
+    return (rec.k, math.ldexp(rec.H, a + c).hex(), math.ldexp(rec.t, c).hex(), math.ldexp(rec.rph, b - a).hex(),
+            tuple((s.miner_id, math.ldexp(s.active_power, a).hex(), math.ldexp(s.revenue_rate, b).hex(),
+                   math.ldexp(s.cost_rate, b).hex(), math.ldexp(s.profit_rate, b).hex()) for s in rec.per_miner))
+
+
+class TestPowerOfTwoScaling:
+    @given(
+        shares=st.lists(st.lists(_MODERATE_SHARES, min_size=1, max_size=6), min_size=1, max_size=3),
+        offsets=_CYCLE_OFFSETS,
+        idle_last=st.booleans(),
+        a=_EXPONENTS, b=_EXPONENTS, c=_EXPONENTS,
+        clamp=st.sampled_from([None, 1.05, 1.2, 4.0]),
+        horizon=st.integers(1, 40),
+    )
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_run_scales_by_powers_of_two(self, shares, offsets, idle_last, a, b, c, clamp, horizon):
+        # an oracle that shares no float path with run: powers times 2**a,
+        # tau times 2**c, costs and the reward as scaled_market says
+        coin, miners, schedules, _ = _cycle_scenario(shares, offsets, idle_last)
+        coin = CoinParams(tau=coin.tau, epsilon=coin.epsilon, w=coin.w, clamp=clamp)
+        base = run(coin, miners, schedules, horizon)
+        scaled = run(*scaled_market(coin, miners, schedules, a, b, c), horizon)
+        assert [_bits(r) for r in scaled.records] == [_scaled_bits(r, a, b, c) for r in base.records]
+        assert [(mid, u.hex()) for mid, u in scaled.utilities.items()] == [
+            (mid, math.ldexp(u, b).hex()) for mid, u in base.utilities.items()]
 
 
 def _dict_trace_utilities(records):

@@ -1,13 +1,15 @@
+import math
 import random
 
 import numpy as np
 import pytest
 
-from _scenarios import alternation, attack_trio
+from _scenarios import alternation, attack_trio, scaled_market
 from smartmining import (
     CoinParams,
     ConfigurationError,
     EntryEffect,
+    EpochRecord,
     MinerParams,
     StrategySchedule,
     attack_threshold,
@@ -218,3 +220,69 @@ class TestSecurityReport:
         report = security_report(coin, miners, schedules)
         assert report.lre_active_power == 70.0
         assert report.attack_threshold == pytest.approx(0.35, rel=1e-15)
+
+
+def _moderate_market(rng):
+    """A calibrated market of moderate size, 1 to 3 deviation schedules on it
+    (one miner always mines at full power) and a margin epsilon."""
+    miners = [MinerParams(f"m{j}", m=rng.uniform(0.5, 100.0), fc=rng.uniform(0.0, 1.0),
+                          vc=rng.uniform(0.001, 0.1)) for j in range(rng.randint(2, 8))]
+    tau, epsilon = rng.choice([1e-3, 1.0, 600.0]), rng.uniform(0.0, 0.01)
+    coin = CoinParams(tau=tau, epsilon=epsilon, w=calibrate_reward(miners, tau, epsilon))
+    schedules = [StrategySchedule(p.id, tuple(rng.choice([0.0, p.m / 2, p.m, rng.uniform(p.m / 64, p.m)])
+                                              for _ in range(rng.randint(1, 7))), offset=rng.randint(0, 7))
+                 for p in rng.sample(miners[1:], rng.randint(1, len(miners) - 1))]
+    return coin, miners, schedules
+
+
+class TestPowerOfTwoScaling:
+    def test_reports_scale_by_powers_of_two(self):
+        # scaled_market shares no float path with the engine: gains scale by
+        # 2**b, active powers by 2**a, revenue per hash by 2**(b - a), and the
+        # fractions keep their bits
+        rng = random.Random(26)
+        for _ in range(60):
+            coin, miners, schedules = _moderate_market(rng)
+            a, b, c = (rng.randint(-200, 200) for _ in range(3))
+            entrant = rng.uniform(0.0, 100.0)
+            scaled = scaled_market(coin, miners, schedules, a, b, c)
+            base, big = security_report(coin, miners, schedules), security_report(*scaled)
+            assert big.lre_active_power.hex() == math.ldexp(base.lre_active_power, a).hex()
+            assert big.idle_fraction.hex() == base.idle_fraction.hex()
+            assert big.attack_threshold.hex() == base.attack_threshold.hex()
+            assert [(mid, g.hex()) for mid, g in big.per_miner_gain.items()] == [
+                (mid, math.ldexp(g, b).hex()) for mid, g in base.per_miner_gain.items()]
+            before, after = entry_effect(coin, miners, schedules, entrant), \
+                entry_effect(*scaled, math.ldexp(entrant, a))
+            exponents = {"entrant_power": a, "lre_active_before": a, "lre_active_after": a, "rph_lre_ratio": 0}
+            assert {field: x.hex() for field, x in after._asdict().items()} == {
+                field: math.ldexp(x, exponents.get(field, b - a)).hex() for field, x in before._asdict().items()}
+
+
+class TestTotalActives:
+    def test_each_state_is_summed_once(self, monkeypatch):
+        # records of one state share their per_miner tuple, so security_report
+        # and entry_effect sum each distinct tuple's active powers once
+        summed = []
+        total_active = EpochRecord.total_active
+
+        def counting(rec):
+            summed.append(rec.per_miner)
+            return total_active.fget(rec)
+
+        coin, miners = attack_trio()
+        attacker, bystander = miners[0], miners[1]
+        # a period-2 schedule of two equal entries beside a period-3 one: the
+        # six-epoch cycle holds three states
+        schedules = [StrategySchedule("attacker", (0.0, attacker.m, attacker.m / 2)),
+                     StrategySchedule("bystander", (bystander.m, bystander.m))]
+        want = security_report(coin, miners, schedules), entry_effect(coin, miners, schedules, 10.0)
+        cycle = steady_cycle(coin, miners, schedules)
+        states = {id(rec.per_miner) for rec in cycle}
+        assert (len(cycle), len(states)) == (6, 3)
+        monkeypatch.setattr(EpochRecord, "total_active", property(counting))
+        for answer, question in zip(want, (lambda: security_report(coin, miners, schedules),
+                                           lambda: entry_effect(coin, miners, schedules, 10.0))):
+            summed.clear()
+            assert question() == answer
+            assert len(summed) == len({id(t) for t in summed}) == len(states)
