@@ -18,7 +18,6 @@ from smartmining import (
     StrategySchedule,
     attack_threshold,
     calibrate_reward,
-    entry_effect,
     security_report,
 )
 
@@ -58,7 +57,7 @@ print("\n=== 3. entrants make the weak epochs weaker ===")
 schedules = [idle_schedule(deviator.m)]
 print(f"{'entrant power':>14} {'rph weak epoch':>15} {'vs before':>10}")
 for power in (0.0, 5.0, 10.0, 20.0):
-    eff = entry_effect(coin, miners, schedules, power)
+    eff = security_report(coin, miners, schedules, power).entry_effect
     print(f"{power:>14.1f} {eff.rph_lre_after:>15.6f} {eff.rph_lre_ratio:>10.4f}")
 print("the entrant mines only the boosted epochs, so the workload retargeted")
 print("onto each weak epoch grows while its defenders stay at 80 power")

@@ -41,7 +41,6 @@ from .security import (
     AttackReport,
     EntryEffect,
     attack_threshold,
-    entry_effect,
     security_report,
 )
 
@@ -66,7 +65,6 @@ __all__ = [
     "brute_force_idle",
     "calibrate_reward",
     "dominance",
-    "entry_effect",
     "epoch_table_smart",
     "min_power_for_profit",
     "optimal_idle",

@@ -49,7 +49,7 @@ from .model import (
     validate_scenario,
 )
 from .optimizer import optimal_idle
-from .security import entry_effect, security_report
+from .security import security_report
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -329,10 +329,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_security(args) -> int:
     coin, miners, schedules = _load_scenario(args.config)
-    # entry_effect checks the entrant power before it simulates anything
-    eff = None if args.entrant is None else entry_effect(coin, miners, schedules, args.entrant)
-    doc = security_report(coin, miners, schedules)._asdict()
-    if eff is not None:
+    doc = security_report(coin, miners, schedules, args.entrant)._asdict()
+    if (eff := doc.pop("entry_effect")) is not None:
         doc["entry_effect"] = eff._asdict()
     print(_json(doc))
     return EXIT_OK

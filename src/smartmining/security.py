@@ -2,10 +2,11 @@
 
 During the reduced epochs of a deviation cycle less honest power defends the
 chain, so a majority of the *active* power is cheaper than a majority of the
-total.  This module quantifies that threshold, the windfall every miner
-collects from the others' deviations (a bystander's gain in
-``security_report``), and the feedback loop where an entrant chasing the
-boosted epochs depresses reduced-epoch revenue even further.
+total.  ``security_report`` reads one steady cycle of the scenario and
+quantifies that threshold, the windfall every miner collects from the
+others' deviations (a bystander's gain is its entry), and, given an entrant
+power, the feedback loop where an entrant chasing the boosted epochs
+depresses reduced-epoch revenue even further (its ``entry_effect``).
 """
 
 from __future__ import annotations
@@ -14,15 +15,6 @@ from typing import NamedTuple
 
 from .engine import steady_cycle, trace_utilities
 from .model import ConfigurationError, _finite, _workload_error, total_power
-
-
-class AttackReport(NamedTuple):
-    """Security posture of a periodic scenario at its weakest epoch."""
-
-    lre_active_power: float
-    idle_fraction: float
-    attack_threshold: float
-    per_miner_gain: dict[str, float]
 
 
 class EntryEffect(NamedTuple):
@@ -40,6 +32,17 @@ class EntryEffect(NamedTuple):
     lre_active_after: float
 
 
+class AttackReport(NamedTuple):
+    """Security posture of a periodic scenario at its weakest epoch, and the
+    entry effect when an entrant power was given."""
+
+    lre_active_power: float
+    idle_fraction: float
+    attack_threshold: float
+    per_miner_gain: dict[str, float]
+    entry_effect: EntryEffect | None = None
+
+
 def attack_threshold(M: float, idle_total: float) -> float:
     """Fraction of total power an attacker must exceed to out-mine the honest
     remainder while ``idle_total`` power sits out: (1 - idle_total/M) / 2.
@@ -55,53 +58,9 @@ def attack_threshold(M: float, idle_total: float) -> float:
     return (1 - idle_total / M) / 2
 
 
-def _total_actives(cycle) -> list[float]:
-    """Each record's total active power, summed once per distinct ``per_miner``
-    tuple: records of one state share theirs (``steady_cycle``)."""
-    by_state = {}
-    return [by_state[key] if (key := id(rec.per_miner)) in by_state else by_state.setdefault(key, rec.total_active)
-            for rec in cycle]
-
-
-def entry_effect(coin, miners, schedules, entrant_power: float) -> EntryEffect:
-    """Reduced-epoch revenue per hash before and after ``entrant_power`` e
-    joins only the high-revenue positions of the scenario's steady cycle, the
-    cycle that ``security_report`` reads for the same ``schedules``.
-
-    Unclamped, H_j = tau*A_{j-1} over the cycle's total active powers A (index
-    -1 wraps to the last position).  The entrant makes A'_j = A_j + e wherever
-    revenue per hash is maximal and A'_j = A_j elsewhere, so after entry
-    rph'_j = w/(A'_{j-1}*tau): the simulation's own float operations, bit for
-    bit.  Revenue per hash in the reduced epoch drops by A_hre/(A_hre + e)
-    while its active power stays unchanged; the entrant's costs never enter.
-    """
-    if not (_finite(entrant_power) and entrant_power >= 0):
-        raise ValueError(f"entrant power must be >= 0 and finite, got {entrant_power}")
-    M = total_power(miners)
-    if error := _workload_error(M + entrant_power, coin):
-        raise ConfigurationError(f"entrant power {entrant_power!r}: with M = {M!r} + {entrant_power!r}, "
-                                 f"the market power plus the entrant's, {error}")
-    cycle = steady_cycle(coin, miners, schedules)
-    actives = _total_actives(cycle)
-    rphs = [rec.rph for rec in cycle]
-    lre = actives.index(min(actives))
-    hre = rphs.index(max(rphs))
-    after = [a + entrant_power if r == rphs[hre] else a for a, r in zip(actives, rphs)]
-    rph_lre_after = coin.w / (after[lre - 1] * coin.tau)
-    return EntryEffect(
-        entrant_power=entrant_power,
-        rph_lre_before=rphs[lre],
-        rph_lre_after=rph_lre_after,
-        rph_lre_ratio=rph_lre_after / rphs[lre],
-        rph_hre_before=rphs[hre],
-        rph_hre_after=coin.w / (after[hre - 1] * coin.tau),
-        lre_active_before=actives[lre],
-        lre_active_after=after[lre],
-    )
-
-
-def security_report(coin, miners, schedules) -> AttackReport:
-    """Aggregate security posture of a periodic scenario.
+def security_report(coin, miners, schedules, entrant_power=None) -> AttackReport:
+    """Aggregate security posture of a periodic scenario, read from one
+    ``steady_cycle``.
 
     Idle power is accounted at the minimum-activity epoch of the common
     period, the conservative bound when deviation periods are misaligned.
@@ -109,14 +68,53 @@ def security_report(coin, miners, schedules) -> AttackReport:
     bystander's gain is its entry.  A weakest epoch whose active power is
     positive but below about M*2**-53 leaves M - A rounded to M: it reports
     an idle fraction of 1.0 and a threshold of 0.0.
+
+    Given ``entrant_power`` e, ``entry_effect`` holds reduced-epoch revenue
+    per hash before and after e joins only the cycle's high-revenue
+    positions.  Unclamped, H_j = tau*A_{j-1} over the cycle's total active
+    powers A (index -1 wraps to the last position).  The entrant makes
+    A'_j = A_j + e wherever revenue per hash is maximal and A'_j = A_j
+    elsewhere, so after entry rph'_j = w/(A'_{j-1}*tau): the simulation's own
+    float operations, bit for bit.  Revenue per hash in the reduced epoch
+    drops by A_hre/(A_hre + e) while its active power stays unchanged; the
+    entrant's costs never enter.  Both checks of e run before the cycle is
+    simulated.
     """
-    cycle = steady_cycle(coin, miners, schedules)
     M = total_power(miners)
-    lre_active = min(_total_actives(cycle))
+    if entrant_power is not None:
+        if not (_finite(entrant_power) and entrant_power >= 0):
+            raise ValueError(f"entrant power must be >= 0 and finite, got {entrant_power}")
+        if error := _workload_error(M + entrant_power, coin):
+            raise ConfigurationError(f"entrant power {entrant_power!r}: with M = {M!r} + {entrant_power!r}, "
+                                     f"the market power plus the entrant's, {error}")
+    cycle = steady_cycle(coin, miners, schedules)
+    # records of one state share their per_miner tuple: sum each tuple once
+    by_state = {}
+    actives = [by_state[key] if (key := id(rec.per_miner)) in by_state else by_state.setdefault(key, rec.total_active)
+               for rec in cycle]
+    lre_active = min(actives)
     gains = {mid: u - coin.epsilon for mid, u in trace_utilities(cycle).items()}
+    effect = None
+    if entrant_power is not None:
+        rphs = [rec.rph for rec in cycle]
+        lre = actives.index(lre_active)
+        hre = rphs.index(max(rphs))
+        after = [a + entrant_power if r == rphs[hre] else a for a, r in zip(actives, rphs)]
+        rph_lre_after = coin.w / (after[lre - 1] * coin.tau)
+        effect = EntryEffect(
+            entrant_power=entrant_power,
+            rph_lre_before=rphs[lre],
+            rph_lre_after=rph_lre_after,
+            rph_lre_ratio=rph_lre_after / rphs[lre],
+            rph_hre_before=rphs[hre],
+            rph_hre_after=coin.w / (after[hre - 1] * coin.tau),
+            lre_active_before=actives[lre],
+            lre_active_after=after[lre],
+        )
     return AttackReport(
         lre_active_power=lre_active,
         idle_fraction=(M - lre_active) / M,
         attack_threshold=attack_threshold(M, M - lre_active),
         per_miner_gain=gains,
+        entry_effect=effect,
     )

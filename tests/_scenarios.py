@@ -63,6 +63,20 @@ def scaled_market(coin, miners, schedules, a, b, c):
     return coin, miners, schedules
 
 
+def moderate_market(rng):
+    """A calibrated market of 2 to 8 miners of moderate size, deviation
+    schedules of periods 1 to 7 for 1 to all but one of them (miner m0 always
+    mines at full power) and a margin epsilon."""
+    miners = [MinerParams(f"m{j}", m=rng.uniform(0.5, 100.0), fc=rng.uniform(0.0, 1.0),
+                          vc=rng.uniform(0.001, 0.1)) for j in range(rng.randint(2, 8))]
+    tau, epsilon = rng.choice([1e-3, 1.0, 600.0]), rng.uniform(0.0, 0.01)
+    coin = CoinParams(tau=tau, epsilon=epsilon, w=calibrate_reward(miners, tau, epsilon))
+    schedules = [StrategySchedule(p.id, tuple(rng.choice([0.0, p.m / 2, p.m, rng.uniform(p.m / 64, p.m)])
+                                              for _ in range(rng.randint(1, 7))), offset=rng.randint(0, 7))
+                 for p in rng.sample(miners[1:], rng.randint(1, len(miners) - 1))]
+    return coin, miners, schedules
+
+
 def context_for(coin, miners) -> AggregateContext:
     return AggregateContext(M=total_power(miners), coin=coin)
 

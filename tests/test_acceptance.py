@@ -20,7 +20,6 @@ from smartmining import (
     brute_force_idle,
     calibrate_reward,
     dominance,
-    entry_effect,
     min_power_for_profit,
     optimal_idle,
     periodic_utility,
@@ -181,7 +180,7 @@ def test_09_entrant_depresses_weak_epoch_revenue():
     coin, miners = attack_trio()
     attacker = miners[0]
     sched = alternation(attacker, attacker.m)
-    eff = entry_effect(coin, miners, [sched], 10.0)
+    eff = security_report(coin, miners, [sched], 10.0).entry_effect
     ratio = eff.rph_lre_after / eff.rph_lre_before
     ok = (abs(ratio - 100.0 / 110.0) <= 1e-12 * (100.0 / 110.0)
           and eff.lre_active_before == eff.lre_active_after)

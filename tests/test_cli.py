@@ -3,7 +3,9 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -21,10 +23,13 @@ from _scenarios import (
     HUGE_TAU_CONFIG,
     HUGE_TAU_SCHEDULE_CONFIG,
     NO_REPEAT_CONFIG,
+    moderate_market,
+    scaled_market,
 )
+from smartmining import engine, security
 from smartmining.cli import _load_scenario, main
 from smartmining.engine import run, trace_utilities
-from smartmining.security import entry_effect
+from smartmining.security import security_report
 
 SMART_CONFIG = {
     "coin": {"tau": 600.0, "epsilon": 0.0},
@@ -167,6 +172,10 @@ SMART_ENTRANT_GOLDEN = """\
   }
 }
 """
+
+# SMART_CONFIG with "rest" deviating too, at period 3: the common period is 6
+TWO_DEVIATOR_CONFIG = dict(SMART_CONFIG, schedules=SMART_CONFIG["schedules"] + [
+    {"miner_id": "rest", "powers": [80.0, 40.0, 80.0]}])
 
 # every miner and tau at 1e-200: M*tau underflows to 0
 TINY_CONFIG = {
@@ -642,12 +651,57 @@ class TestSecurityCommand:
 
     def test_entrant_answers_for_any_schedules(self, tmp_path, capsys):
         # no schedule, and two deviators of periods 2 and 3
-        two = dict(SMART_CONFIG, schedules=SMART_CONFIG["schedules"] + [{"miner_id": "rest", "powers": [80.0, 40.0, 80.0]}])
-        for name, doc in (("honest", HONEST_CONFIG), ("two", two)):
+        for name, doc in (("honest", HONEST_CONFIG), ("two", TWO_DEVIATOR_CONFIG)):
             cfg = _write_config(tmp_path, doc, name=f"{name}.json")
             assert main(["security", cfg, "--entrant", "10"]) == 0
             block = json.loads(capsys.readouterr().out)["entry_effect"]
-            assert block == entry_effect(*_load_scenario(cfg), 10.0)._asdict()
+            assert block == security_report(*_load_scenario(cfg), 10.0).entry_effect._asdict()
+
+    def test_entrant_report_reads_one_cycle(self, tmp_path, capsys, monkeypatch):
+        # the report and its entry effect share one steady_cycle call and its
+        # 3p = 18 steps
+        calls = dict.fromkeys(("steady_cycle", "step_epoch"), 0)
+
+        def counting(module, name):
+            fn = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+
+        counting(security, "steady_cycle")
+        counting(engine, "step_epoch")
+        assert main(["security", _write_config(tmp_path, TWO_DEVIATOR_CONFIG), "--entrant", "10"]) == 0
+        assert "entry_effect" in json.loads(capsys.readouterr().out)
+        assert calls == {"steady_cycle": 1, "step_epoch": 18}
+
+    def test_entrant_report_scales_by_powers_of_two(self, tmp_path, capsys):
+        # scaled_market shares no float path with the engine: through the
+        # JSON round trip, gains scale by 2**b, powers by 2**a, revenue per
+        # hash by 2**(b - a), and the fractions keep their bits
+        def floats(report):
+            # every number of the report, keyed by its field or its miner id
+            return {**report.pop("per_miner_gain"), **report.pop("entry_effect"), **report}
+
+        rng = random.Random(27)
+        for _ in range(300):
+            scenario = moderate_market(rng)
+            a, b, c = (rng.randint(-200, 200) for _ in range(3))
+            entrant = rng.uniform(0.0, 100.0)
+            reports = []
+            for name, (coin, miners, schedules), e in (("base", scenario, entrant),
+                                                       ("big", scaled_market(*scenario, a, b, c), math.ldexp(entrant, a))):
+                doc = {"coin": {"tau": coin.tau, "epsilon": coin.epsilon}, "reward": coin.w,
+                       "miners": [p._asdict() for p in miners], "schedules": [s._asdict() for s in schedules]}
+                assert main(["security", _write_config(tmp_path, doc, name=f"{name}.json"), "--entrant", repr(e)]) == 0
+                reports.append(json.loads(capsys.readouterr().out))
+            exponents = dict.fromkeys(reports[0]["per_miner_gain"], b) | {
+                "lre_active_power": a, "idle_fraction": 0, "attack_threshold": 0, "entrant_power": a,
+                "rph_lre_ratio": 0, "lre_active_before": a, "lre_active_after": a}
+            base, big = map(floats, reports)
+            assert {key: x.hex() for key, x in big.items()} == {
+                key: math.ldexp(x, exponents.get(key, b - a)).hex() for key, x in base.items()}
 
     @pytest.mark.parametrize("deviators,entrant,code", [
         (["attacker", "rest"], "5", 3),   # a valid request that stalls, with two schedules

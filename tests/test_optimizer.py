@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from _scenarios import context_for, moderate_market, scaled_market
 from smartmining import (
     AggregateContext,
     CoinParams,
@@ -251,6 +252,24 @@ class TestOptimalIdle:
         miner = MinerParams("d", m=1.0, fc=0.1, vc=0.9)
         with pytest.raises(ValueError):
             optimal_idle(AggregateContext(M=1.0, coin=coin), miner)
+
+    def test_answers_scale_by_powers_of_two(self):
+        # scaled_market shares no float path with the closed forms: delta
+        # scales by 2**a, utilities by 2**b, and roi keeps its bits
+        rng = random.Random(27)
+        endpoints = {"zero": 0, "m": 0, "interior": 0}
+        for _ in range(250):
+            coin, miners, _ = moderate_market(rng)
+            a, b, c = (rng.randint(-200, 200) for _ in range(3))
+            big_coin, big_miners, _ = scaled_market(coin, miners, [], a, b, c)
+            ctx, big_ctx = context_for(coin, miners), context_for(big_coin, big_miners)
+            for miner, big_miner in zip(miners, big_miners):
+                base, big = optimal_idle(ctx, miner), optimal_idle(big_ctx, big_miner)
+                assert (big.delta.hex(), big.utility.hex(), big.roi.hex()) == (
+                    math.ldexp(base.delta, a).hex(), math.ldexp(base.utility, b).hex(), base.roi.hex())
+                assert smart_utility(big_ctx, big_miner).hex() == math.ldexp(smart_utility(ctx, miner), b).hex()
+                endpoints["zero" if base.delta == 0 else "m" if base.delta == miner.m else "interior"] += 1
+        assert min(endpoints.values()) >= 50, endpoints
 
 
 class TestBruteForceIdle:

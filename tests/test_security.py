@@ -1,10 +1,12 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from _scenarios import alternation, attack_trio, scaled_market
+from _exact import cycle_gains, entry_rph_after
+from _scenarios import alternation, attack_trio, moderate_market, scaled_market
 from smartmining import (
     CoinParams,
     ConfigurationError,
@@ -14,16 +16,15 @@ from smartmining import (
     StrategySchedule,
     attack_threshold,
     calibrate_reward,
-    entry_effect,
     security_report,
     steady_cycle,
 )
 
 
 def _simulated_entry_effect(coin, miners, schedules, entrant_power):
-    """Oracle for ``entry_effect``: simulate a second steady cycle with a real
-    entrant miner, id "entrant", scheduled on the maximal-revenue positions of
-    the first."""
+    """Oracle for ``security_report``'s ``entry_effect``: simulate a second
+    steady cycle with a real entrant miner, id "entrant", scheduled on the
+    maximal-revenue positions of the first."""
     before = steady_cycle(coin, miners, schedules)
     actives = [rec.total_active for rec in before]
     lre = actives.index(min(actives))
@@ -121,7 +122,7 @@ class TestEntryEffect:
     def test_zero_power_entrant_changes_nothing(self):
         coin, miners = attack_trio()
         attacker = miners[0]
-        eff = entry_effect(coin, miners, [alternation(attacker, attacker.m)], 0.0)
+        eff = security_report(coin, miners, [alternation(attacker, attacker.m)], 0.0).entry_effect
         assert eff.rph_lre_before == eff.rph_lre_after
         assert eff.rph_hre_before == eff.rph_hre_after
 
@@ -130,7 +131,7 @@ class TestEntryEffect:
         # the reduced epoch rises from 100*tau to 110*tau
         coin, miners = attack_trio()
         attacker = miners[0]
-        eff = entry_effect(coin, miners, [alternation(attacker, attacker.m)], 10.0)
+        eff = security_report(coin, miners, [alternation(attacker, attacker.m)], 10.0).entry_effect
         assert eff.rph_lre_after / eff.rph_lre_before == pytest.approx(100.0 / 110.0, rel=1e-12)
         # the reduced epoch keeps its 80 active power, so the boosted epoch's
         # own revenue per hash is untouched
@@ -143,30 +144,32 @@ class TestEntryEffect:
         attacker = miners[0]
         sched = [alternation(attacker, 0.5 * attacker.m)]
         for power in (0.5, 5.0, 40.0):
-            eff = entry_effect(coin, miners, sched, power)
+            eff = security_report(coin, miners, sched, power).entry_effect
             assert eff.rph_lre_after < eff.rph_lre_before
             assert eff.lre_active_after == eff.lre_active_before
 
     def test_negative_power_rejected(self):
         coin, miners = attack_trio()
         with pytest.raises(ValueError):
-            entry_effect(coin, miners, [alternation(miners[0], 10.0)], -1.0)
+            security_report(coin, miners, [alternation(miners[0], 10.0)], -1.0)
 
     def test_underflowing_baseline_price_rejected(self):
         # every price of the cycle would read 0.0, so rph_lre_ratio would divide by 0
         coin = CoinParams(tau=1e300, epsilon=0.0, w=1e-300)
         miners = [MinerParams("a", 3e-151, 0.0, 1.0), MinerParams("b", 7e-151, 0.1, 0.01)]
         with pytest.raises(ConfigurationError, match="the baseline price must be > 0"):
-            entry_effect(coin, miners, [alternation(miners[0], miners[0].m)], 0.0)
+            security_report(coin, miners, [alternation(miners[0], miners[0].m)], 0.0)
 
     def test_closed_form_matches_simulated_entrant(self):
-        # the closed form reads the base cycle; the oracle simulates the entrant
+        # the closed form reads the base cycle; the oracle simulates the
+        # entrant, and the rest of the report is the entrant-free one
         rng = random.Random(20190)
         entrants, schedule_counts = set(), set()
         for _ in range(300):
             coin, miners, schedules, entrant = _random_entry(rng)
-            assert entry_effect(coin, miners, schedules, entrant) == \
-                _simulated_entry_effect(coin, miners, schedules, entrant)
+            report = security_report(coin, miners, schedules, entrant)
+            assert report.entry_effect == _simulated_entry_effect(coin, miners, schedules, entrant)
+            assert report._replace(entry_effect=None) == security_report(coin, miners, schedules)
             entrants.add(entrant)
             schedule_counts.add(len(schedules))
         assert {0.0, 1e-300, 1e12} <= entrants
@@ -178,7 +181,7 @@ class TestEntryEffect:
         coin, miners = attack_trio()
         attacker = miners[0]
         shifted = alternation(attacker, attacker.m, offset=1)
-        eff = entry_effect(coin, miners, [shifted], 10.0)
+        eff = security_report(coin, miners, [shifted], 10.0).entry_effect
         assert eff.rph_lre_after / eff.rph_lre_before == pytest.approx(100.0 / 110.0, rel=1e-12)
         assert eff.lre_active_before == eff.lre_active_after == 80.0
 
@@ -222,19 +225,6 @@ class TestSecurityReport:
         assert report.attack_threshold == pytest.approx(0.35, rel=1e-15)
 
 
-def _moderate_market(rng):
-    """A calibrated market of moderate size, 1 to 3 deviation schedules on it
-    (one miner always mines at full power) and a margin epsilon."""
-    miners = [MinerParams(f"m{j}", m=rng.uniform(0.5, 100.0), fc=rng.uniform(0.0, 1.0),
-                          vc=rng.uniform(0.001, 0.1)) for j in range(rng.randint(2, 8))]
-    tau, epsilon = rng.choice([1e-3, 1.0, 600.0]), rng.uniform(0.0, 0.01)
-    coin = CoinParams(tau=tau, epsilon=epsilon, w=calibrate_reward(miners, tau, epsilon))
-    schedules = [StrategySchedule(p.id, tuple(rng.choice([0.0, p.m / 2, p.m, rng.uniform(p.m / 64, p.m)])
-                                              for _ in range(rng.randint(1, 7))), offset=rng.randint(0, 7))
-                 for p in rng.sample(miners[1:], rng.randint(1, len(miners) - 1))]
-    return coin, miners, schedules
-
-
 class TestPowerOfTwoScaling:
     def test_reports_scale_by_powers_of_two(self):
         # scaled_market shares no float path with the engine: gains scale by
@@ -242,27 +232,49 @@ class TestPowerOfTwoScaling:
         # fractions keep their bits
         rng = random.Random(26)
         for _ in range(60):
-            coin, miners, schedules = _moderate_market(rng)
+            coin, miners, schedules = moderate_market(rng)
             a, b, c = (rng.randint(-200, 200) for _ in range(3))
             entrant = rng.uniform(0.0, 100.0)
             scaled = scaled_market(coin, miners, schedules, a, b, c)
-            base, big = security_report(coin, miners, schedules), security_report(*scaled)
+            base, big = security_report(coin, miners, schedules, entrant), \
+                security_report(*scaled, math.ldexp(entrant, a))
             assert big.lre_active_power.hex() == math.ldexp(base.lre_active_power, a).hex()
             assert big.idle_fraction.hex() == base.idle_fraction.hex()
             assert big.attack_threshold.hex() == base.attack_threshold.hex()
             assert [(mid, g.hex()) for mid, g in big.per_miner_gain.items()] == [
                 (mid, math.ldexp(g, b).hex()) for mid, g in base.per_miner_gain.items()]
-            before, after = entry_effect(coin, miners, schedules, entrant), \
-                entry_effect(*scaled, math.ldexp(entrant, a))
+            before, after = base.entry_effect, big.entry_effect
             exponents = {"entrant_power": a, "lre_active_before": a, "lre_active_after": a, "rph_lre_ratio": 0}
             assert {field: x.hex() for field, x in after._asdict().items()} == {
                 field: math.ldexp(x, exponents.get(field, b - a)).hex() for field, x in before._asdict().items()}
 
 
+class TestExactRationals:
+    def test_report_is_within_a_few_ulps_of_exact(self):
+        # _exact shares no float path with security_report.  Revenue per hash
+        # after entry is measured in its own ulps; a gain u - epsilon cancels,
+        # so it is measured in ulps of the cycle's largest revenue or cost rate
+        def ulps(x, exact, unit):
+            return abs(Fraction(x) - exact) / Fraction(math.ulp(unit))
+
+        rng = random.Random(2719)
+        for _ in range(100):
+            coin, miners, schedules = moderate_market(rng)
+            entrant = rng.choice([0.0, 10.0, rng.uniform(0.0, 100.0)])
+            report = security_report(coin, miners, schedules, entrant)
+            eff = report.entry_effect
+            lre_after, hre_after = entry_rph_after(coin, miners, schedules, entrant)
+            assert ulps(eff.rph_lre_after, lre_after, eff.rph_lre_after) <= 3
+            assert ulps(eff.rph_hre_after, hre_after, eff.rph_hre_after) <= 3
+            gains, scale = cycle_gains(coin, miners, schedules)
+            for mid, gain in report.per_miner_gain.items():
+                assert ulps(gain, gains[mid], float(scale)) <= 8, mid
+
+
 class TestTotalActives:
     def test_each_state_is_summed_once(self, monkeypatch):
         # records of one state share their per_miner tuple, so security_report
-        # and entry_effect sum each distinct tuple's active powers once
+        # sums each distinct tuple's active powers once, with an entrant or without
         summed = []
         total_active = EpochRecord.total_active
 
@@ -276,13 +288,13 @@ class TestTotalActives:
         # six-epoch cycle holds three states
         schedules = [StrategySchedule("attacker", (0.0, attacker.m, attacker.m / 2)),
                      StrategySchedule("bystander", (bystander.m, bystander.m))]
-        want = security_report(coin, miners, schedules), entry_effect(coin, miners, schedules, 10.0)
+        entrants = (None, 10.0)
+        want = [security_report(coin, miners, schedules, e) for e in entrants]
         cycle = steady_cycle(coin, miners, schedules)
         states = {id(rec.per_miner) for rec in cycle}
         assert (len(cycle), len(states)) == (6, 3)
         monkeypatch.setattr(EpochRecord, "total_active", property(counting))
-        for answer, question in zip(want, (lambda: security_report(coin, miners, schedules),
-                                           lambda: entry_effect(coin, miners, schedules, 10.0))):
+        for answer, entrant in zip(want, entrants):
             summed.clear()
-            assert question() == answer
+            assert security_report(coin, miners, schedules, entrant) == answer
             assert len(summed) == len({id(t) for t in summed}) == len(states)
