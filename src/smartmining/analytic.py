@@ -64,15 +64,36 @@ def smart_utility(ctx: AggregateContext, miner: MinerParams) -> float:
     epoch earns m*w/((M - m)*tau) against full costs.  Scalar only: this is
     the independent reference for ``smarter_utility`` at delta = m, which
     ``sweep`` evaluates over whole grids.
+
+    A term of the numerator can leave float range although u does not, such
+    as fc*M/(M - m) for a huge fc.  Where the direct value is not finite, the
+    formula runs once more on the market scaled by powers of two, power by
+    2**a, tau by 2**c and money by 2**b, which puts M, tau and the cost rate
+    into [0.5, 1); u scales by 2**b exactly, so it is scaled back by 2**-b.
+    A utility beyond float range stays the direct, non-finite value.
     """
     M, m = ctx.M, miner.m
     if not 0 < m < M:
         raise ValueError(f"deviating power must satisfy 0 < m < M, got m={m}, M={M}")
-    r0 = ctx.coin.w / (M * ctx.coin.tau)
+    w, tau, fc, vc = ctx.coin.w, ctx.coin.tau, miner.fc, miner.vc
+    u = _smart_utility(M, m, w, tau, fc, vc)
+    if math.isfinite(u):
+        return u
+    a, c, b = (-math.frexp(x)[1] for x in (M, tau, miner.cost_rate))
+    try:
+        return math.ldexp(_smart_utility(math.ldexp(M, a), math.ldexp(m, a), math.ldexp(w, b + c),
+                                         math.ldexp(tau, c), math.ldexp(fc, b), math.ldexp(vc, b - a)), -b)
+    except OverflowError:   # a scaled field, or the utility itself, beyond float range
+        return u
+
+
+def _smart_utility(M, m, w, tau, fc, vc) -> float:
+    """``smart_utility``'s formula on plain floats."""
+    r0 = w / (M * tau)
     remaining = M - m
     lre_weight = remaining / M
     hre_weight = M / remaining
-    num = m * r0 - miner.cost_rate * lre_weight - miner.fc * hre_weight
+    num = m * r0 - (fc + vc * m) * lre_weight - fc * hre_weight
     den = lre_weight + hre_weight
     return num / den
 

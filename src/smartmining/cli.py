@@ -230,7 +230,8 @@ def _csv_field(text: str) -> str:
 
 
 def _write_trace_csv(path, trace, miners) -> None:
-    """Write one row per epoch, every float as its ``repr``.
+    """Write one row per epoch, every float as its ``repr``; a record's
+    ``total_active`` is not written.
 
     Records that hold the same ``per_miner`` object are equal apart from ``k``
     (``engine._simulate`` shares the tuple only between epochs whose workload
@@ -243,7 +244,7 @@ def _write_trace_csv(path, trace, miners) -> None:
     texts = {}
     with open(path, "w", encoding="utf-8", newline="", buffering=1 << 20) as fh:
         fh.write(",".join(map(_csv_field, cols)) + "\n")
-        for k, H, t, rph, per in trace.records:
+        for k, H, t, rph, per, _A in trace.records:
             text = texts.get(id(per))
             if text is None:
                 text = ",".join(map(repr, chain((H, t, rph), chain.from_iterable(map(itemgetter(1, 2, 3, 4), per)))))

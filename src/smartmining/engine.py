@@ -47,8 +47,7 @@ def _rates(rph: float, miners, powers) -> list[MinerEpochStats]:
             for (mid, _, fc, vc), mhat in zip(miners, powers)]
 
 
-def step_epoch(k: int, H: float, active, coin, miners, *, per_miner=None,
-               total=None) -> tuple[EpochRecord, float]:
+def step_epoch(k: int, H: float, active, coin, miners, *, state=None) -> tuple[EpochRecord, float]:
     """Advance one epoch and return (record, next workload).
 
     ``miners`` holds (id, m, fc, vc) records, such as ``MinerParams``, read
@@ -67,30 +66,27 @@ def step_epoch(k: int, H: float, active, coin, miners, *, per_miner=None,
     retarget) or overflows (on a tiny active power), or a revenue per hash
     w/H that overflows (after a retarget to a tiny H).
 
-    A given ``per_miner`` tuple becomes the record's ``per_miner`` as it is,
-    the same object, in place of the rates this epoch would compute: every
-    check above still runs in the same order, and (k, H, t, rph) and the next
-    workload keep their bits.  ``_simulate`` passes a tuple of the rates this
-    epoch's workload and active powers give, built from shared entries.
-
-    A ``total`` given together with ``per_miner`` stands for a state that the
-    caller built from checked powers: it is the epoch's active power A, the
-    ``ordered_sum`` of the powers in config order, and the epoch reads neither
-    ``active`` nor the capacities.  The checks on k, H, A, the duration and
-    the price run in the same order with the same messages.  With either one
-    missing, ``total`` is ignored.
+    Without ``state``, the epoch range-checks ``active`` and sums A, the
+    ``ordered_sum`` of the active powers in config order, itself.  A given
+    ``state`` is a pair (per_miner, A) that the caller built from checked
+    powers: the per-miner rates this epoch's workload and active powers give,
+    and their A.  The epoch then reads neither ``active`` nor the
+    capacities, and the tuple becomes the record's ``per_miner`` as it is,
+    the same object.  Either way the checks on k, H, A, the duration and the
+    price run in the same order with the same messages, and the record
+    carries A as its ``total_active``.
     """
     if k < 1:
         raise ValueError(f"epoch index must be >= 1, got {k}")
     if H <= 0:
         raise ValueError(f"epoch {k}: epoch workload must be > 0, got {H}")
-    if per_miner is None or total is None:
+    if state is None:
         powers = [mhat if 0 <= (mhat := active.get(mid, m)) <= m
                   else _require(False, f"active power {mhat} outside [0, {m}] for miner '{mid}'")
                   for mid, m, _, _ in miners]
         A = ordered_sum(powers)
     else:
-        A = total
+        per_miner, A = state
     if A <= 0:
         raise StalledEpochError(k)
     t = H / A
@@ -101,12 +97,12 @@ def step_epoch(k: int, H: float, active, coin, miners, *, per_miner=None,
     rph = coin.w / H
     if rph == math.inf:
         raise ValueError(f"epoch {k}: revenue per hash w/H = {coin.w!r}/{H!r} overflows: the workload is too small")
-    if per_miner is None:
+    if state is None:
         per_miner = tuple(_rates(rph, miners, powers))
     H_next = A * coin.tau
     if coin.clamp is not None:
         H_next = min(max(H_next, H / coin.clamp), H * coin.clamp)
-    return tuple.__new__(EpochRecord, (k, H, t, rph, per_miner)), H_next
+    return tuple.__new__(EpochRecord, (k, H, t, rph, per_miner, A)), H_next
 
 
 def _check_scenario(coin, miners, schedules) -> None:
@@ -123,8 +119,9 @@ def _simulate(coin, miners, schedules, horizon: int):
     phase's full power row in config order, every other miner at capacity.
     Those are the floats ``step_epoch`` adds, in its order, so A has its bits,
     and ``validate_scenario`` has checked every schedule power against its
-    miner's capacity.  Every step gets ``total=A``; an epoch that takes
-    ``step_epoch``'s full path gets an active map of the scheduled miners too.
+    miner's capacity.  A step at a known workload gets the ``state``
+    (per_miner, A); one that takes ``step_epoch``'s full path gets an active
+    map of the scheduled miners instead.
 
     Every epoch makes one ``step_epoch`` call, in order.  Among epochs whose
     phase recurs within the horizon, each (workload, miner, power bits) has
@@ -153,7 +150,7 @@ def _simulate(coin, miners, schedules, horizon: int):
     power_bits = struct.Struct("d").pack
     phases = {}     # k mod p -> (A, *scheduled powers)
     firsts = {}     # H -> per_miner of the first state at workload H
-    shared = {}     # bits of (H, A, scheduled powers) -> per_miner of a state at a known H
+    shared = {}     # bits of (H, A, scheduled powers) -> (per_miner, A) of a state at a known H
     # per scheduled miner: power bits -> {H: its rates}; no (H, power) keys,
     # whose tuples, freed at the end, would keep arenas mapped
     memo = [{} for _ in plan]
@@ -169,8 +166,8 @@ def _simulate(coin, miners, schedules, horizon: int):
             if recurs:
                 phases[k % p] = row
         key = state_bits(H, *row)   # A is a function of the scheduled powers
-        per = shared.get(key)
-        first = None if per is not None else firsts.get(H)
+        state = shared.get(key)
+        first = None if state is not None else firsts.get(H)
         if first is not None:   # a state at a known H: only scheduled miners can differ from its first state
             # step_epoch's own rph; this H passed its checks in its first state
             rph, per = coin.w / H, list(first)
@@ -180,12 +177,12 @@ def _simulate(coin, miners, schedules, horizon: int):
                     per[i] = by_H.get(H) or _rates(rph, (miner,), (mhat,))[0]
                     if recurs:
                         by_H[H] = per[i]
-            per = tuple(per) if any(per[i] is not first[i] for i, _ in scheduled) else first
+            state = (tuple(per) if any(per[i] is not first[i] for i, _ in scheduled) else first, row[0])
             if recurs:   # later epochs in this state then find it in one lookup
-                shared[key] = per
-        active = None if per is not None else {mid: mhat for (mid, *_), mhat in zip(plan, row[1:])}
-        record, H_next = step_epoch(k, H, active, coin, miners, per_miner=per, total=row[0])
-        if per is None and recurs:   # the first state at H
+                shared[key] = state
+        active = None if state is not None else {mid: mhat for (mid, *_), mhat in zip(plan, row[1:])}
+        record, H_next = step_epoch(k, H, active, coin, miners, state=state)
+        if state is None and recurs:   # the first state at H
             firsts[H] = record.per_miner
         H = H_next
         yield record
@@ -205,7 +202,7 @@ def trace_utilities(records) -> dict[str, float]:
     if not records:
         return {}
     acc, total_t = [0.0] * len(records[0].per_miner), 0.0
-    for _k, _H, t, _rph, per_miner in records:
+    for _k, _H, t, _rph, per_miner, _A in records:
         total_t += t
         acc = [a + s.profit_rate * t for a, s in zip(acc, per_miner, strict=True)]
     if not all(_SUM_FLOOR <= abs(x) < math.inf for x in (total_t, *acc)):

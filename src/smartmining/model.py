@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from functools import reduce
-from operator import add, itemgetter
+from operator import add
 from typing import NamedTuple
 
 
@@ -160,18 +160,16 @@ class MinerEpochStats(NamedTuple):
 
 class EpochRecord(NamedTuple):
     """Realized state of one epoch: required hashes ``H``, duration ``t``,
-    revenue per hash ``rph`` = w/H, and per-miner rates."""
+    revenue per hash ``rph`` = w/H, per-miner rates, and the total active
+    power ``total_active``, the ``ordered_sum`` of the per-miner active
+    powers in config order."""
 
     k: int
     H: float
     t: float
     rph: float
     per_miner: tuple[MinerEpochStats, ...]
-
-    @property
-    def total_active(self) -> float:
-        """Total hash power active during this epoch."""
-        return ordered_sum(map(itemgetter(1), self.per_miner))
+    total_active: float
 
 
 class SimulationTrace(NamedTuple):

@@ -88,10 +88,7 @@ def security_report(coin, miners, schedules, entrant_power=None) -> AttackReport
             raise ConfigurationError(f"entrant power {entrant_power!r}: with M = {M!r} + {entrant_power!r}, "
                                      f"the market power plus the entrant's, {error}")
     cycle = steady_cycle(coin, miners, schedules)
-    # records of one state share their per_miner tuple: sum each tuple once
-    by_state = {}
-    actives = [by_state[key] if (key := id(rec.per_miner)) in by_state else by_state.setdefault(key, rec.total_active)
-               for rec in cycle]
+    actives = [rec.total_active for rec in cycle]
     lre_active = min(actives)
     gains = {mid: u - coin.epsilon for mid, u in trace_utilities(cycle).items()}
     effect = None

@@ -1,11 +1,14 @@
-"""Exact rational oracles for the steady cycle and the entry effect.
+"""Exact rational oracles for the steady cycle, the entry effect and the
+one-deviator closed forms.
 
 Every input float converts to a ``fractions.Fraction`` without rounding, and
 the model's formulas run in exact arithmetic from there, so these oracles
 share no float operation with the package.  They follow the model, not the
 engine: on an unclamped coin, position j of the steady period (epochs
 2p+1..3p) needs H_j = tau*A_{j-1} hashes, with A the total active power
-and index -1 wrapping to the period's last position.
+and index -1 wrapping to the period's last position.  The closed forms
+follow the two epochs of one deviation cycle, not the algebra of
+``analytic``.
 """
 
 import math
@@ -50,3 +53,59 @@ def entry_rph_after(coin, miners, schedules, entrant_power):
     lre, hre = actives.index(min(actives)), rphs.index(max(rphs))
     after = [A + e if rph == rphs[hre] else A for A, rph in zip(actives, rphs)]
     return w / (tau * after[lre - 1]), w / (tau * after[hre - 1])
+
+
+def idle_utility(ctx, miner, delta):
+    """Long-run profit rate of idling ``delta`` (a Fraction) of the miner's
+    power in every other epoch: the reduced epoch needs M*tau hashes from
+    M - delta of active power at the baseline price, and the boosted epoch
+    after it (M - delta)*tau hashes from M at the raised price."""
+    M, m, tau, w = Fraction(ctx.M), Fraction(miner.m), Fraction(ctx.coin.tau), Fraction(ctx.coin.w)
+    fc, vc = Fraction(miner.fc), Fraction(miner.vc)
+    active = M - delta
+    t_lre, t_hre = M * tau / active, active * tau / M
+    p_lre = w / (M * tau) * (m - delta) - fc - vc * (m - delta)
+    p_hre = w / (active * tau) * m - fc - vc * m
+    return (p_lre * t_lre + p_hre * t_hre) / (t_lre + t_hre)
+
+
+def idle_rate_scale(ctx, miner, delta):
+    """The largest revenue or cost rate of the miner in either epoch of the
+    cycle at idle power ``delta``: u adds rates that cancel, so its rounding
+    error scales with them."""
+    M, m, tau, w = Fraction(ctx.M), Fraction(miner.m), Fraction(ctx.coin.tau), Fraction(ctx.coin.w)
+    fc, vc, delta = Fraction(miner.fc), Fraction(miner.vc), Fraction(delta)
+    return max(w / (M * tau) * (m - delta), fc + vc * (m - delta), w / ((M - delta) * tau) * m, fc + vc * m)
+
+
+def smart_utility(ctx, miner):
+    """``idle_utility`` of the full-idle alternation, delta = m."""
+    return idle_utility(ctx, miner, Fraction(miner.m))
+
+
+def _sqrt(x, bits=300):
+    """The square root of the Fraction ``x`` >= 0 to ``bits`` significant bits."""
+    shift = max(0, 2 * bits - (x.numerator.bit_length() - x.denominator.bit_length()))
+    shift += shift % 2
+    return Fraction(math.isqrt((x.numerator << shift) // x.denominator), 1 << shift // 2)
+
+
+def idle_candidates(ctx, miner):
+    """``idle_utility`` at ``optimal_idle``'s three candidates, in its order:
+    0, the stationary point of u in [0, m], clipped into [0, m], and m.
+
+    With rho = (M - delta)/M, u is a ratio of quadratics whose stationarity
+    condition q1*rho**2 - 2*b*rho - q1 = 0 has one positive root; its square
+    root is taken to 300 bits, and where q1 = 0 the stationary point lies
+    beyond m."""
+    M, m = Fraction(ctx.M), Fraction(miner.m)
+    fc, vc = Fraction(miner.fc), Fraction(miner.vc)
+    r0 = Fraction(ctx.coin.w) / (M * Fraction(ctx.coin.tau))
+    q1 = m * r0 + M * (r0 - vc)
+    b = -(fc + vc * m) + (r0 - vc) * (M - m) + fc
+    if q1 == 0:
+        interior = m
+    else:
+        rho = (b + (1 if q1 > 0 else -1) * _sqrt(b * b + q1 * q1)) / q1
+        interior = min(max(M * (1 - rho), Fraction(0)), m)
+    return [idle_utility(ctx, miner, delta) for delta in (Fraction(0), interior, m)]

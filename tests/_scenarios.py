@@ -122,6 +122,16 @@ HUGE_TAU_CONFIG = {
 # cycle's total time overflows too, and its gains do not depend on tau
 HUGE_TAU_SCHEDULE_CONFIG = dict(HUGE_TAU_CONFIG, schedules=[{"miner_id": "a", "powers": [0.5] + [1.0] * 1999}])
 
+# a market whose utilities fit in float range although a term of the closed
+# forms does not: miner a's fc*M/(M - m), about 8e311, overflows while its
+# smart utility is about -fc = -1.03e300
+OVERFLOWING_TERM_CONFIG = {
+    "coin": {"tau": 7.156888780620487e-118},
+    "reward": 4.019405486298865e-10,
+    "miners": [{"id": "a", "m": 6.662538400338083e29, "fc": 1.0303975371532022e300, "vc": 0.0},
+               {"id": "b", "m": 8.344874324054518e17, "fc": 7.999143634895547e20, "vc": 9903040876251708.0}],
+}
+
 # profit rate 5e307 in every epoch of duration 1: four epochs' weighted sum
 # is 2e308, beyond the largest float, while the average is 5e307
 HUGE_REWARD_CONFIG = {

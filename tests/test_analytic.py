@@ -1,4 +1,5 @@
 
+import math
 import re
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _scenarios import alternation, context_for, proportional_scenario
+from _exact import smart_utility as exact_smart_utility
+from _scenarios import OVERFLOWING_TERM_CONFIG, alternation, context_for, proportional_scenario
 from smartmining import (
     AggregateContext,
     CoinParams,
@@ -74,6 +76,30 @@ class TestSmartUtility:
     def test_baseline_price_domain_error(self):
         with pytest.raises(ValueError, match=r"w/\(M\*tau\) = .* overflows"):
             AggregateContext(M=1.0, coin=CoinParams(tau=1e-300, epsilon=0.0, w=1e300))
+
+
+def _config_market(doc):
+    """The coin and miners of a config with a numeric reward."""
+    coin = CoinParams(tau=doc["coin"]["tau"], epsilon=doc["coin"].get("epsilon", 0.0), w=doc["reward"])
+    return coin, [MinerParams(**p) for p in doc["miners"]]
+
+
+class TestSmartUtilityBeyondFloatRange:
+    def test_a_term_beyond_float_range_leaves_the_exact_utility(self):
+        # miner a's fc*M/(M - m) overflows; the power-of-two rescaled pass
+        # gives the float nearest the exact utility, and miner b, whose direct
+        # value is finite, keeps the direct bits
+        coin, miners = _config_market(OVERFLOWING_TERM_CONFIG)
+        ctx = context_for(coin, miners)
+        a, b = miners
+        assert smart_utility(ctx, a) == float(exact_smart_utility(ctx, a)) == -1.0303975371532022e+300
+        assert smart_utility(ctx, b).hex() == (3.517123613488488e+95).hex()
+
+    def test_a_utility_beyond_float_range_stays_infinite(self):
+        # m*r0 = 5e199 * 1e150: the utility itself exceeds the largest float
+        coin = CoinParams(tau=1e-100, epsilon=0.0, w=1e250)
+        miners = [MinerParams("a", 5e199, 1.0, 0.0), MinerParams("b", 5e199, 1.0, 0.0)]
+        assert smart_utility(context_for(coin, miners), miners[0]) == math.inf
 
 
 class TestSmarterUtility:

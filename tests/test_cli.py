@@ -23,6 +23,7 @@ from _scenarios import (
     HUGE_TAU_CONFIG,
     HUGE_TAU_SCHEDULE_CONFIG,
     NO_REPEAT_CONFIG,
+    OVERFLOWING_TERM_CONFIG,
     moderate_market,
     scaled_market,
 )
@@ -1163,6 +1164,17 @@ class TestCliContract:
     def test_contract_at_any_market_scale(self, invocation):
         # in this process a numpy RuntimeWarning raises, so it fails here too
         _check_contract(*invocation)
+
+    @pytest.mark.parametrize("command,key", [("analyze", "smart_utility"), ("optimize", "utility")])
+    def test_a_term_beyond_float_range_leaves_every_number_finite(self, tmp_path, capsys, command, key):
+        # the closed form's fc*M/(M - m) overflows, yet the utility, about
+        # -fc, is representable: exit 0 with that utility and no non-finite number
+        cfg = _write_config(tmp_path, OVERFLOWING_TERM_CONFIG)
+        assert main([command, cfg, "--miner", "a"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        report = json.loads(captured.out, parse_constant=lambda token: pytest.fail(f"non-finite {token}"))
+        assert report[key] == -1.0303975371532022e+300
 
 
 # five miners, four of them deviating with periods 97, 89, 83 and 79: a common

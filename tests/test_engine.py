@@ -116,14 +116,14 @@ class TestStepEpoch:
             run(coin, miners, [StrategySchedule("a", (0.0, 1e20))], 3)
 
 
-def _step_outcome(k, H, active, coin, miners, **per_miner):
+def _step_outcome(k, H, active, coin, miners, **state):
     """The exact result of one ``step_epoch`` call: its fields as float hex
     plus the per-miner rates, or the type and message it raised."""
     try:
-        rec, H_next = step_epoch(k, H, active, coin, miners, **per_miner)
+        rec, H_next = step_epoch(k, H, active, coin, miners, **state)
     except (ValueError, StalledEpochError) as exc:
         return type(exc), str(exc)
-    return rec.k, rec.H.hex(), rec.t.hex(), rec.rph.hex(), H_next.hex(), rec.per_miner
+    return rec.k, rec.H.hex(), rec.t.hex(), rec.rph.hex(), rec.total_active.hex(), H_next.hex(), rec.per_miner
 
 
 # miner capacities from tiny (duration overflow) to huge (duration underflow)
@@ -151,18 +151,9 @@ class TestBareStep:
         miners = [MinerParams(p.id, m, p.fc, p.vc) for p, m in zip(_STEP_MINERS, capacities)]
         active = {p.id: f * p.m for p, f in zip(miners, shares) if f is not None}
         coin = CoinParams(tau=tau, epsilon=0.0, w=w, clamp=clamp)
-        given = (MinerEpochStats("x", 1.0, 2.0, 3.0, -1.0),)
-        full = _step_outcome(k, H, active, coin, miners)
-        bare = _step_outcome(k, H, active, coin, miners, per_miner=())
-        shared = _step_outcome(k, H, active, coin, miners, per_miner=given)
         # step_epoch reads miners by position, so plain (id, m, fc, vc) tuples step alike
-        assert _step_outcome(k, H, active, coin, [tuple(p) for p in miners]) == full
-        if len(full) == 2:   # raised
-            assert bare == shared == full
-        else:
-            assert bare == full[:5] + ((),)
-            assert shared == full[:5] + (given,)
-            assert shared[5] is given
+        assert _step_outcome(k, H, active, coin, [tuple(p) for p in miners]) == _step_outcome(
+            k, H, active, coin, miners)
 
     @pytest.mark.parametrize("k,H,capacity,active,w,fragment", [
         (0, 6e4, 40.0, {}, 600.0, "epoch index must be >= 1"),
@@ -175,12 +166,11 @@ class TestBareStep:
     ])
     def test_raises_like_the_full_step(self, k, H, capacity, active, w, fragment):
         miners, coin = [MinerParams("a", capacity, 0.1, 0.0)], CoinParams(tau=600.0, epsilon=0.0, w=w)
-        kind, message = _step_outcome(k, H, active, coin, miners, per_miner=())
+        kind, message = _step_outcome(k, H, active, coin, miners)
         assert fragment in message
-        assert (kind, message) == _step_outcome(k, H, active, coin, miners)
-        if "outside" not in fragment:   # in-range powers, as a caller that passes total has checked
+        if "outside" not in fragment:   # in-range powers, as a caller that passes a state has checked
             total = ordered_sum(active.get(p.id, p.m) for p in miners)
-            assert _step_outcome(k, H, None, coin, miners, per_miner=(), total=total) == (kind, message)
+            assert _step_outcome(k, H, None, coin, miners, state=((), total)) == (kind, message)
 
     @given(
         k=st.integers(0, 9),
@@ -192,24 +182,22 @@ class TestBareStep:
         clamp=st.sampled_from([None, 1.05, 4.0]),
     )
     @settings(max_examples=150, derandomize=True, deadline=None)
-    def test_total_with_per_miner_matches_the_full_step(self, k, H, capacities, shares, tau, w, clamp):
-        # total = the ordered_sum of the checked powers, given with per_miner:
-        # the same record and next workload, or the same raise, as the full
-        # step, which reads the active map and the capacities that this step
-        # is denied (None and nan)
+    def test_state_matches_the_full_step(self, k, H, capacities, shares, tau, w, clamp):
+        # a state (per_miner, A), A the ordered_sum of the checked powers: the
+        # same record, A included, and next workload, or the same raise, as
+        # the full step, which reads the active map and the capacities that
+        # this step is denied (None and nan)
         miners = [MinerParams(p.id, m, p.fc, p.vc) for p, m in zip(_STEP_MINERS, capacities)]
         active = {p.id: f * p.m for p, f in zip(miners, shares) if f is not None}
         coin = CoinParams(tau=tau, epsilon=0.0, w=w, clamp=clamp)
         total = ordered_sum(active.get(p.id, p.m) for p in miners)
         full = _step_outcome(k, H, active, coin, miners)
-        given = full[5] if len(full) == 6 else (MinerEpochStats("x", 1.0, 2.0, 3.0, -1.0),)
+        given = full[-1] if len(full) > 2 else (MinerEpochStats("x", 1.0, 2.0, 3.0, -1.0),)
         blind = [(p.id, math.nan, p.fc, p.vc) for p in miners]
-        fast = _step_outcome(k, H, None, coin, blind, per_miner=given, total=total)
+        fast = _step_outcome(k, H, None, coin, blind, state=(given, total))
         assert fast == full
-        if len(full) == 6:
-            assert fast[5] is given
-        # without per_miner, total is not read: one that would stall changes nothing
-        assert _step_outcome(k, H, active, coin, miners, total=-1.0) == full
+        if len(full) > 2:
+            assert fast[-1] is given
 
 
 class TestRun:
@@ -441,7 +429,7 @@ def _bits(rec):
     """Every field of a record, floats as their exact hex form."""
     return (rec.k, rec.H.hex(), rec.t.hex(), rec.rph.hex(),
             tuple((s.miner_id, s.active_power.hex(), s.revenue_rate.hex(), s.cost_rate.hex(), s.profit_rate.hex())
-                  for s in rec.per_miner))
+                  for s in rec.per_miner), rec.total_active.hex())
 
 
 def _state_bits(rec):
@@ -513,15 +501,16 @@ class TestStreamingSimulation:
         assert len({id(rec.per_miner) for rec in cycle}) < p
 
     def test_every_step_gets_its_phase_total(self, monkeypatch):
-        # _simulate hands every step_epoch call the ordered_sum A of its
-        # epoch's powers, and a step without shared rates, which takes the
-        # full path, the scheduled miners' active map too; steady_cycle and
-        # a clamped run still make one call per epoch, 3p for the cycle
+        # _simulate hands a step at a known workload the state (per_miner, A),
+        # A the ordered_sum of its epoch's powers, and a step without shared
+        # rates, which takes the full path, the scheduled miners' active map
+        # and no state; steady_cycle and a clamped run still make one call
+        # per epoch, 3p for the cycle
         calls = []
 
-        def recording_step(k, H, active, coin, miners, *, per_miner=None, total=None):
-            rec, H_next = step_epoch(k, H, active, coin, miners, per_miner=per_miner, total=total)
-            calls.append((rec, active, per_miner, total))
+        def recording_step(k, H, active, coin, miners, *, state=None):
+            rec, H_next = step_epoch(k, H, active, coin, miners, state=state)
+            calls.append((rec, active, state))
             return rec, H_next
 
         monkeypatch.setattr(engine, "step_epoch", recording_step)
@@ -536,12 +525,14 @@ class TestStreamingSimulation:
                 else:
                     run(coin, miners, schedules, horizon)
                 assert len(calls) == horizon
-                for (rec, active, per_miner, total), want in zip(calls, plain):
+                for (rec, active, state), want in zip(calls, plain):
                     assert _bits(rec) == _bits(want)
-                    assert total.hex() == ordered_sum(s.active_power for s in want.per_miner).hex()
-                    if per_miner is None:
+                    if state is None:
                         assert active == {s.miner_id: s.power_at(rec.k) for s in schedules}
-                assert {per_miner is None for _, _, per_miner, _ in calls} == {True, False}
+                    else:
+                        assert active is None and state[0] is rec.per_miner
+                        assert state[1].hex() == ordered_sum(s.active_power for s in want.per_miner).hex()
+                assert {state is None for _, _, state in calls} == {True, False}
 
     @pytest.mark.parametrize("clamp", [None, 1.1])
     def test_run_matches_hand_loop_with_full_active_map(self, clamp):
@@ -580,6 +571,34 @@ def _assert_one_rates_object_per_workload_and_power(records):
     for rec in records:
         for s in rec.per_miner:
             assert held.setdefault((rec.H.hex(), s.miner_id, s.active_power.hex()), s) is s
+
+
+def _assert_total_actives(records):
+    """Each record's ``total_active`` has the bits of its per-miner active
+    powers added in config order."""
+    for rec in records:
+        assert rec.total_active.hex() == ordered_sum(s.active_power for s in rec.per_miner).hex(), rec.k
+
+
+class TestTotalActive:
+    @given(_CYCLE_SHARES, _CYCLE_OFFSETS, st.booleans())
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    def test_records_carry_the_ordered_sum_of_their_powers(self, shares, offsets, idle_last):
+        # security_report reads A from the records, whichever path of
+        # step_epoch built them; the shares include -0.0
+        coin, miners, schedules, period = _cycle_scenario(shares, offsets, idle_last)
+        for clamp in (None, 1.2):
+            clamped = CoinParams(tau=coin.tau, epsilon=coin.epsilon, w=coin.w, clamp=clamp)
+            _assert_total_actives(run(clamped, miners, schedules, 3 * period + 5).records)
+        _assert_total_actives(steady_cycle(coin, miners, schedules))
+
+    def test_a_full_step_carries_the_ordered_sum_of_its_powers(self):
+        # a compensated sum of these powers would read 1.0000000000000002
+        miners = [MinerParams("a", 1.0, 1.0, 0.0), MinerParams("b", 1e-16, 1e-16, 0.0),
+                  MinerParams("c", 1e-16, 1e-16, 0.0), MinerParams("d", 5.0, 1.0, 0.0)]
+        rec, _ = step_epoch(1, 600.0, {"d": -0.0}, _coin(), miners)
+        _assert_total_actives([rec])
+        assert rec.total_active == 1.0
 
 
 class TestSharedRates:
@@ -777,7 +796,8 @@ def _scaled_bits(rec, a, b, c):
     """``_bits`` of the record that the market of ``scaled_market(..., a, b, c)`` gives."""
     return (rec.k, math.ldexp(rec.H, a + c).hex(), math.ldexp(rec.t, c).hex(), math.ldexp(rec.rph, b - a).hex(),
             tuple((s.miner_id, math.ldexp(s.active_power, a).hex(), math.ldexp(s.revenue_rate, b).hex(),
-                   math.ldexp(s.cost_rate, b).hex(), math.ldexp(s.profit_rate, b).hex()) for s in rec.per_miner))
+                   math.ldexp(s.cost_rate, b).hex(), math.ldexp(s.profit_rate, b).hex()) for s in rec.per_miner),
+            math.ldexp(rec.total_active, a).hex())
 
 
 class TestPowerOfTwoScaling:

@@ -26,7 +26,7 @@ from smartmining.model import ordered_sum
 # result types are named tuples; the CLI's CSV columns and JSON keys follow their field order
 _RESULT_FIELDS = {
     MinerEpochStats: ("miner_id", "active_power", "revenue_rate", "cost_rate", "profit_rate"),
-    EpochRecord: ("k", "H", "t", "rph", "per_miner"),
+    EpochRecord: ("k", "H", "t", "rph", "per_miner", "total_active"),
     SimulationTrace: ("records", "utilities", "horizon"),
     SmarterPoint: ("delta", "utility", "roi"),
     AttackReport: ("lre_active_power", "idle_fraction", "attack_threshold", "per_miner_gain", "entry_effect"),

@@ -1,11 +1,14 @@
 import hashlib
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from _exact import idle_candidates, idle_rate_scale
+from _exact import smart_utility as exact_smart_utility
 from _scenarios import context_for, moderate_market, scaled_market
 from smartmining import (
     AggregateContext,
@@ -270,6 +273,29 @@ class TestOptimalIdle:
                 assert smart_utility(big_ctx, big_miner).hex() == math.ldexp(smart_utility(ctx, miner), b).hex()
                 endpoints["zero" if base.delta == 0 else "m" if base.delta == miner.m else "interior"] += 1
         assert min(endpoints.values()) >= 50, endpoints
+
+
+class TestExactRationals:
+    def test_closed_forms_are_within_two_ulps_of_exact(self):
+        # _exact shares no float path with the closed forms: on the 250
+        # moderate markets of the scaling test, smart_utility and the utility
+        # optimal_idle returns, against the best of the exact utilities of its
+        # three candidates, measured 1.33 and 1.85 ulps of the miner's largest
+        # revenue or cost rate in either epoch of the cycle
+        def ulps(x, exact, ctx, miner, delta):
+            return abs(Fraction(x) - exact) / Fraction(math.ulp(idle_rate_scale(ctx, miner, delta)))
+
+        rng = random.Random(27)
+        for _ in range(250):
+            coin, miners, _ = moderate_market(rng)
+            for _exponent in range(3):   # the scaling test's draws, so that the markets agree
+                rng.randint(-200, 200)
+            ctx = context_for(coin, miners)
+            for miner in miners:
+                u = smart_utility(ctx, miner)
+                assert ulps(u, exact_smart_utility(ctx, miner), ctx, miner, miner.m) <= 2, miner
+                point = optimal_idle(ctx, miner)
+                assert ulps(point.utility, max(idle_candidates(ctx, miner)), ctx, miner, point.delta) <= 2, miner
 
 
 class TestBruteForceIdle:

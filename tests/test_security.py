@@ -11,7 +11,6 @@ from smartmining import (
     CoinParams,
     ConfigurationError,
     EntryEffect,
-    EpochRecord,
     MinerParams,
     StrategySchedule,
     attack_threshold,
@@ -269,32 +268,3 @@ class TestExactRationals:
             gains, scale = cycle_gains(coin, miners, schedules)
             for mid, gain in report.per_miner_gain.items():
                 assert ulps(gain, gains[mid], float(scale)) <= 8, mid
-
-
-class TestTotalActives:
-    def test_each_state_is_summed_once(self, monkeypatch):
-        # records of one state share their per_miner tuple, so security_report
-        # sums each distinct tuple's active powers once, with an entrant or without
-        summed = []
-        total_active = EpochRecord.total_active
-
-        def counting(rec):
-            summed.append(rec.per_miner)
-            return total_active.fget(rec)
-
-        coin, miners = attack_trio()
-        attacker, bystander = miners[0], miners[1]
-        # a period-2 schedule of two equal entries beside a period-3 one: the
-        # six-epoch cycle holds three states
-        schedules = [StrategySchedule("attacker", (0.0, attacker.m, attacker.m / 2)),
-                     StrategySchedule("bystander", (bystander.m, bystander.m))]
-        entrants = (None, 10.0)
-        want = [security_report(coin, miners, schedules, e) for e in entrants]
-        cycle = steady_cycle(coin, miners, schedules)
-        states = {id(rec.per_miner) for rec in cycle}
-        assert (len(cycle), len(states)) == (6, 3)
-        monkeypatch.setattr(EpochRecord, "total_active", property(counting))
-        for answer, entrant in zip(want, entrants):
-            summed.clear()
-            assert security_report(coin, miners, schedules, entrant) == answer
-            assert len(summed) == len({id(t) for t in summed}) == len(states)
