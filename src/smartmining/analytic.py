@@ -79,12 +79,20 @@ def smart_utility(ctx: AggregateContext, miner: MinerParams) -> float:
     u = _smart_utility(M, m, w, tau, fc, vc)
     if math.isfinite(u):
         return u
-    a, c, b = (-math.frexp(x)[1] for x in (M, tau, miner.cost_rate))
     try:
-        return math.ldexp(_smart_utility(math.ldexp(M, a), math.ldexp(m, a), math.ldexp(w, b + c),
-                                         math.ldexp(tau, c), math.ldexp(fc, b), math.ldexp(vc, b - a)), -b)
+        _, b, market = _rescaled_market(ctx, miner)
+        return math.ldexp(_smart_utility(*market), -b)
     except OverflowError:   # a scaled field, or the utility itself, beyond float range
         return u
+
+
+def _rescaled_market(ctx, miner):
+    """(a, b, (M, m, w, tau, fc, vc)): the market with power scaled by 2**a,
+    tau by 2**c and money by 2**b, which puts M, tau and the cost rate into
+    [0.5, 1).  Raises OverflowError where a scaled field leaves float range."""
+    a, c, b = (-math.frexp(x)[1] for x in (ctx.M, ctx.coin.tau, miner.cost_rate))
+    return a, b, (math.ldexp(ctx.M, a), math.ldexp(miner.m, a), math.ldexp(ctx.coin.w, b + c),
+                  math.ldexp(ctx.coin.tau, c), math.ldexp(miner.fc, b), math.ldexp(miner.vc, b - a))
 
 
 def _smart_utility(M, m, w, tau, fc, vc) -> float:

@@ -14,7 +14,6 @@ epochs whose phase k mod p recurs (p the lcm of the schedule periods), each
 from __future__ import annotations
 
 import math
-import struct
 from itertools import islice
 
 from .model import (
@@ -114,76 +113,80 @@ def _check_scenario(coin, miners, schedules) -> None:
 def _simulate(coin, miners, schedules, horizon: int):
     """Yield the records of epochs 1..horizon from the calibrated start H_1 = M*tau.
 
-    Each phase k mod p has one row (A, *scheduled powers): the scheduled
-    miners' powers in schedule order, after A, the ``ordered_sum`` of the
-    phase's full power row in config order, every other miner at capacity.
-    Those are the floats ``step_epoch`` adds, in its order, so A has its bits,
-    and ``validate_scenario`` has checked every schedule power against its
-    miner's capacity.  A step at a known workload gets the ``state``
-    (per_miner, A); one that takes ``step_epoch``'s full path gets an active
-    map of the scheduled miners instead.
+    Each schedule entry is named once, by ``float.hex`` of its power, so
+    equal names are equal bits: -0.0 == 0.0, yet a -0.0 power has a name of
+    its own and writes its own ``mhat`` and ``R``.  A phase k mod p has the
+    names of its scheduled miners' entries in schedule order, and phases
+    with the same names share one row (names, A, *scheduled powers), A the
+    ``ordered_sum`` of the phase's full power row in config order, every
+    other miner at capacity.  Those are the floats ``step_epoch`` adds, in
+    its order, so A has its bits, and ``validate_scenario`` has checked every
+    schedule power against its miner's capacity.  A step at a known workload
+    gets the ``state`` (per_miner, A); one that takes ``step_epoch``'s full
+    path gets an active map of the scheduled miners instead.
 
     Every epoch makes one ``step_epoch`` call, in order.  Among epochs whose
     phase recurs within the horizon, each (workload, miner, power bits) has
-    one rates object, and each state, H and the scheduled powers, one
-    ``per_miner`` tuple.  The bits, not the float values, decide: -0.0 ==
-    0.0, yet a -0.0 power writes its own ``mhat`` and ``R``.
+    one rates object, and each state, H and the entry names, one
+    ``per_miner`` tuple.
 
     The first state at a workload H takes ``step_epoch``'s full path and its
     rates, so an unseen H passes every check before its rates are built.  A
-    later state at H starts from that tuple: a scheduled miner at another
-    power takes its entry from a memo by power bits and H, built on first
-    use, and a state whose every entry is the first's is the first state
-    again.  Only epochs whose phase recurs store their state, their entries
-    and their phase's row, and the first state at H is found by H alone, so a
-    trace that never repeats stores no state key.
+    later state at H starts from that tuple: a scheduled miner whose entry
+    name differs from the first state's takes its rates from a memo by name
+    and H, built on first use, and a state with the first state's names is
+    the first state again.  Only epochs whose phase recurs store their
+    state, their rates and their phase's row, and the first state at H is
+    found by H alone, so a trace that never repeats stores no state key.
     """
     H = total_power(miners) * coin.tau
     # exact tuples unpack on the interpreter's specialized path, which namedtuple field reads miss
     miners = [tuple(p) for p in miners]
     column = {p[0]: i for i, p in enumerate(miners)}
-    plan = [(s.miner_id, s.powers, s.offset - 1, s.period) for s in schedules]   # StrategySchedule.power_at, inlined
+    # StrategySchedule.power_at, inlined, over entry names
+    plan = [(s.miner_id, [x.hex() for x in s.powers], s.offset - 1, s.period) for s in schedules]
+    power = {name: float.fromhex(name) for _, ns, _, _ in plan for name in ns}
     scheduled = [(column[mid], miners[column[mid]]) for mid, *_ in plan]   # (position, miner) in schedule order
-    capacities = [m for _, m, _, _ in miners]
     p = math.lcm(*(n for *_, n in plan))
-    state_bits = struct.Struct(f"{len(plan) + 2}d").pack
-    power_bits = struct.Struct("d").pack
-    phases = {}     # k mod p -> (A, *scheduled powers)
-    firsts = {}     # H -> per_miner of the first state at workload H
-    shared = {}     # bits of (H, A, scheduled powers) -> (per_miner, A) of a state at a known H
-    # per scheduled miner: power bits -> {H: its rates}; no (H, power) keys,
+    phases = {}     # k mod p -> its row (names, A, *scheduled powers)
+    rows = {}       # entry names -> their row
+    firsts = {}     # H -> (names, per_miner) of the first state at workload H
+    shared = {}     # (H, names) -> (per_miner, A) of a state at a known H
+    # per scheduled miner: entry name -> {H: its rates}; no (H, name) keys,
     # whose tuples, freed at the end, would keep arenas mapped
     memo = [{} for _ in plan]
     for k in range(1, horizon + 1):
         recurs = k + p <= horizon
         row = phases.get(k % p)
         if row is None:
-            powers = [ps[(shift + k) % n] for _, ps, shift, n in plan]
-            full = capacities.copy()
-            for (i, _), mhat in zip(scheduled, powers):
-                full[i] = mhat
-            row = (ordered_sum(full), *powers)
+            names = tuple(ns[(shift + k) % n] for _, ns, shift, n in plan)
+            row = rows.get(names)
+            if row is None:   # A adds the scheduled powers and every other capacity in config order
+                at = {i: power[name] for (i, _), name in zip(scheduled, names)}
+                row = (names, ordered_sum(at.get(i, m) for i, (_, m, _, _) in enumerate(miners)),
+                       *(power[name] for name in names))
             if recurs:
-                phases[k % p] = row
-        key = state_bits(H, *row)   # A is a function of the scheduled powers
-        state = shared.get(key)
+                phases[k % p] = rows[names] = row
+        names = row[0]
+        state = shared.get((H, names))
         first = None if state is not None else firsts.get(H)
         if first is not None:   # a state at a known H: only scheduled miners can differ from its first state
             # step_epoch's own rph; this H passed its checks in its first state
-            rph, per = coin.w / H, list(first)
-            for (i, miner), by_bits, mhat in zip(scheduled, memo, row[1:]):
-                if mhat != first[i][1] or math.copysign(1.0, mhat) != math.copysign(1.0, first[i][1]):
-                    by_H = by_bits.setdefault(power_bits(mhat), {})
-                    per[i] = by_H.get(H) or _rates(rph, (miner,), (mhat,))[0]
+            first_names, per_miner = first
+            rph, per = coin.w / H, list(per_miner)
+            for (i, miner), by_name, name, first_name in zip(scheduled, memo, names, first_names):
+                if name != first_name:
+                    by_H = by_name.setdefault(name, {})
+                    per[i] = by_H.get(H) or _rates(rph, (miner,), (power[name],))[0]
                     if recurs:
                         by_H[H] = per[i]
-            state = (tuple(per) if any(per[i] is not first[i] for i, _ in scheduled) else first, row[0])
+            state = (per_miner if names == first_names else tuple(per), row[1])
             if recurs:   # later epochs in this state then find it in one lookup
-                shared[key] = state
-        active = None if state is not None else {mid: mhat for (mid, *_), mhat in zip(plan, row[1:])}
+                shared[H, names] = state
+        active = None if state is not None else {mid: mhat for (mid, *_), mhat in zip(plan, row[2:])}
         record, H_next = step_epoch(k, H, active, coin, miners, state=state)
         if state is None and recurs:   # the first state at H
-            firsts[H] = record.per_miner
+            firsts[H] = (names, record.per_miner)
         H = H_next
         yield record
 

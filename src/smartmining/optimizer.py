@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
-from .analytic import AggregateContext, SmarterPoint, roi, smarter_utility
+from .analytic import AggregateContext, SmarterPoint, _rescaled_market, roi, smarter_utility
 from .model import MinerParams
 
 # numpy loads inside the functions, as in analytic: the package and the CLI
@@ -40,15 +41,45 @@ def optimal_idle(ctx: AggregateContext, miner: MinerParams) -> SmarterPoint:
     a new leading axis of length 3, so each market gets the same float
     operations as a call on scalars, which returns plain floats.
 
+    A term can leave float range although u does not, such as fc*M/(M - m)
+    for a huge fc, and a candidate beyond float range would lose as -inf.
+    For a single market where any candidate's utility is not finite, the
+    candidates run once more on the market scaled by powers of two, as in
+    ``smart_utility``'s fallback, and the answer scales back.  Where a
+    scaled field or the answer leaves float range, the direct answer stands,
+    and a utility beyond float range reaches the caller as a non-finite
+    result, which the CLI reports.  Arrays of markets keep the direct answer.
+
     A sole miner (m = M) is rejected: delta = m would idle the whole network
     and stall the reduced epoch, so ``smarter_utility`` requires delta < M.
     """
     import numpy as np
-    # math.hypot elementwise: np.hypot rounds differently in the last place
-    hypot = np.frompyfunc(math.hypot, 2, 1)
     M, m = ctx.M, miner.m
     if not np.all((0 < m) & (m < M)):
         raise ValueError(f"deviating power must satisfy 0 < m < M, got m={m}, M={M}")
+    deltas, us = _candidates(ctx, miner)
+    best = np.argmax(us, axis=0)
+    delta, utility = np.choose(best, deltas), np.choose(best, us)
+    if utility.ndim == 0:   # a single market
+        delta, utility = float(delta), float(utility)
+        if not np.isfinite(us).all():
+            try:   # delta scales back by 2**-a, and u by 2**-b
+                a, b, (M, m, w, tau, fc, vc) = _rescaled_market(ctx, miner)
+                deltas, us = _candidates(SimpleNamespace(M=M, coin=SimpleNamespace(w=w, tau=tau)),
+                                         SimpleNamespace(m=m, fc=fc, vc=vc, cost_rate=fc + vc * m))
+                best = int(np.argmax(us))
+                delta, utility = math.ldexp(float(deltas[best]), -a), math.ldexp(float(us[best]), -b)
+            except OverflowError:   # a scaled field, or the answer, beyond float range
+                pass
+    return SmarterPoint(delta=delta, utility=utility, roi=roi(utility, miner))
+
+
+def _candidates(ctx, miner):
+    """``optimal_idle``'s three idle powers, stacked on a leading axis, and their utilities."""
+    import numpy as np
+    # math.hypot elementwise: np.hypot rounds differently in the last place
+    hypot = np.frompyfunc(math.hypot, 2, 1)
+    M, m = ctx.M, miner.m
     r0 = ctx.coin.w / (M * ctx.coin.tau)
     g = r0 - miner.vc
     q2 = -miner.cost_rate
@@ -60,18 +91,12 @@ def optimal_idle(ctx: AggregateContext, miner: MinerParams) -> SmarterPoint:
     # also evaluates the branch it discards.  A root at or beyond either end,
     # or +-inf, clips to that end, and the NaN of q1 == 0 (whose root delta =
     # M lies beyond m) to m, as fmin drops a NaN.  A utility beyond float
-    # range reads -inf and loses, or +inf or NaN and reaches the caller as a
-    # non-finite result, which the CLI reports
+    # range reads -inf, +inf or NaN here
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         rho_plus = np.where(b * q1 >= 0, (b + s) / q1, -q1 / (b - s))
         interior = np.fmax(np.fmin(M * (1 - rho_plus), m), 0.0)
         deltas = np.stack(np.broadcast_arrays(0.0, interior, m))
-        us = smarter_utility(ctx, miner, deltas)
-    best = np.argmax(us, axis=0)
-    delta, utility = np.choose(best, deltas), np.choose(best, us)
-    if utility.ndim == 0:   # a single market
-        delta, utility = float(delta), float(utility)
-    return SmarterPoint(delta=delta, utility=utility, roi=roi(utility, miner))
+        return deltas, smarter_utility(ctx, miner, deltas)
 
 
 def brute_force_idle(ctx: AggregateContext, miner: MinerParams, resolution: int) -> SmarterPoint:

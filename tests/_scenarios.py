@@ -77,6 +77,12 @@ def moderate_market(rng):
     return coin, miners, schedules
 
 
+def config_market(doc):
+    """The coin and miners of a config document with a numeric reward."""
+    coin = CoinParams(tau=doc["coin"]["tau"], epsilon=doc["coin"].get("epsilon", 0.0), w=doc["reward"])
+    return coin, [MinerParams(**p) for p in doc["miners"]]
+
+
 def context_for(coin, miners) -> AggregateContext:
     return AggregateContext(M=total_power(miners), coin=coin)
 
@@ -130,6 +136,15 @@ OVERFLOWING_TERM_CONFIG = {
     "reward": 4.019405486298865e-10,
     "miners": [{"id": "a", "m": 6.662538400338083e29, "fc": 1.0303975371532022e300, "vc": 0.0},
                {"id": "b", "m": 8.344874324054518e17, "fc": 7.999143634895547e20, "vc": 9903040876251708.0}],
+}
+
+# optimal_idle's best candidate for miner a is delta = m, utility -1e+293,
+# yet its term fc*M/(M - m), about 4.5e308, overflows; the other two
+# candidates are about -2e+293
+OVERFLOWING_CANDIDATE_CONFIG = {
+    "coin": {"tau": 1.0},
+    "reward": 1.0000000000000002,
+    "miners": [{"id": "a", "m": 1.0, "fc": 1e293, "vc": 1e293}, {"id": "b", "m": 2e-16, "fc": 1.0, "vc": 0.0}],
 }
 
 # profit rate 5e307 in every epoch of duration 1: four epochs' weighted sum

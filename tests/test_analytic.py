@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _exact import smart_utility as exact_smart_utility
-from _scenarios import OVERFLOWING_TERM_CONFIG, alternation, context_for, proportional_scenario
+from _scenarios import OVERFLOWING_TERM_CONFIG, alternation, config_market, context_for, proportional_scenario
 from smartmining import (
     AggregateContext,
     CoinParams,
@@ -78,18 +78,12 @@ class TestSmartUtility:
             AggregateContext(M=1.0, coin=CoinParams(tau=1e-300, epsilon=0.0, w=1e300))
 
 
-def _config_market(doc):
-    """The coin and miners of a config with a numeric reward."""
-    coin = CoinParams(tau=doc["coin"]["tau"], epsilon=doc["coin"].get("epsilon", 0.0), w=doc["reward"])
-    return coin, [MinerParams(**p) for p in doc["miners"]]
-
-
 class TestSmartUtilityBeyondFloatRange:
     def test_a_term_beyond_float_range_leaves_the_exact_utility(self):
         # miner a's fc*M/(M - m) overflows; the power-of-two rescaled pass
         # gives the float nearest the exact utility, and miner b, whose direct
         # value is finite, keeps the direct bits
-        coin, miners = _config_market(OVERFLOWING_TERM_CONFIG)
+        coin, miners = config_market(OVERFLOWING_TERM_CONFIG)
         ctx = context_for(coin, miners)
         a, b = miners
         assert smart_utility(ctx, a) == float(exact_smart_utility(ctx, a)) == -1.0303975371532022e+300

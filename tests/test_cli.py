@@ -23,6 +23,7 @@ from _scenarios import (
     HUGE_TAU_CONFIG,
     HUGE_TAU_SCHEDULE_CONFIG,
     NO_REPEAT_CONFIG,
+    OVERFLOWING_CANDIDATE_CONFIG,
     OVERFLOWING_TERM_CONFIG,
     moderate_market,
     scaled_market,
@@ -1175,6 +1176,20 @@ class TestCliContract:
         assert captured.err == ""
         report = json.loads(captured.out, parse_constant=lambda token: pytest.fail(f"non-finite {token}"))
         assert report[key] == -1.0303975371532022e+300
+
+    def test_optimize_keeps_a_best_candidate_whose_term_overflows(self, tmp_path, capsys):
+        # idling all of a's power is best, at utility -1e+293, although a term
+        # of its closed form overflows: optimize reports it, as analyze does
+        cfg = _write_config(tmp_path, OVERFLOWING_CANDIDATE_CONFIG)
+        reports = []
+        for command in ("optimize", "analyze"):
+            assert main([command, cfg, "--miner", "a"]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            reports.append(json.loads(captured.out))
+        optimized, analyzed = reports
+        assert (optimized["delta"], optimized["utility"]) == (1.0, -1e+293) == (1.0, analyzed["smart_utility"])
+        assert optimized["schedule"]["powers"] == [0.0, 1.0]
 
 
 # five miners, four of them deviating with periods 97, 89, 83 and 79: a common

@@ -702,6 +702,28 @@ class TestSharedRates:
         assert [_bits(r) for r in cycle] == [_bits(r) for r in expected]
         _assert_one_rates_object_per_workload_and_power(cycle)
 
+    @pytest.mark.parametrize("powers,phase_rows", [({"a": (0.0, 30.0), "b": (7.5, 7.5, 25.0)}, 4),
+                                                   ({"c": (0.0, -0.0)}, 2)], ids=["shared-entries", "signed-zeros"])
+    def test_steady_cycle_holds_one_row_per_tuple_of_entry_names(self, powers, phase_rows):
+        # a (0.0, 30.0) beside b (7.5, 7.5, 25.0), p = 6: two pairs of phases
+        # run the same entries after different phases, so at different
+        # workloads, and each pair shares one row, and so one total_active
+        # object.  0.0 and -0.0 are equal floats but two entries, a row each
+        coin, miners, _ = _three_period_scenario()
+        schedules = [StrategySchedule(mid, ps) for mid, ps in powers.items()]
+        cycle = steady_cycle(coin, miners, schedules)
+        p = len(cycle)
+        expected = _plain_step_loop(coin, miners, schedules, 3 * p)[2 * p:]
+        assert [_bits(r) for r in cycle] == [_bits(r) for r in expected]
+        column = [i for i, miner in enumerate(miners) if miner.id in powers]
+        rows = {}
+        for rec in cycle:
+            names = tuple(rec.per_miner[i].active_power.hex() for i in column)
+            assert rows.setdefault(names, rec.total_active) is rec.total_active
+        assert len(rows) == len({id(rec.total_active) for rec in cycle}) == phase_rows
+        assert sorted(rows) == sorted({tuple(ps[j % len(ps)].hex() for ps in powers.values()) for j in range(p)})
+        assert len({(rec.H.hex(), id(rec.total_active)) for rec in cycle}) == p
+
     def test_always_on_config_shares_rates_by_workload_and_power(self, tmp_path):
         # m03 runs its capacity 9.5 in one phase and m07 -0.0 in another; over
         # the epochs of the 3p stream whose phase recurs, each workload, miner

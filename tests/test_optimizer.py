@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 
 from _exact import idle_candidates, idle_rate_scale
 from _exact import smart_utility as exact_smart_utility
-from _scenarios import context_for, moderate_market, scaled_market
+from _scenarios import OVERFLOWING_CANDIDATE_CONFIG, config_market, context_for, moderate_market, scaled_market
 from smartmining import (
     AggregateContext,
     CoinParams,
     MinerParams,
     brute_force_idle,
     optimal_idle,
+    roi,
     smart_utility,
     smarter_utility,
 )
@@ -296,6 +297,20 @@ class TestExactRationals:
                 assert ulps(u, exact_smart_utility(ctx, miner), ctx, miner, miner.m) <= 2, miner
                 point = optimal_idle(ctx, miner)
                 assert ulps(point.utility, max(idle_candidates(ctx, miner)), ctx, miner, point.delta) <= 2, miner
+
+
+    def test_a_candidate_beyond_float_range_can_still_win(self):
+        # delta = m's term fc*M/(M - m) overflows, so its direct utility reads
+        # -inf; the rescaled market finds it the best of the three candidates,
+        # the float nearest the exact utility, as smart_utility does
+        coin, miners = config_market(OVERFLOWING_CANDIDATE_CONFIG)
+        ctx, miner = context_for(coin, miners), miners[0]
+        exact = idle_candidates(ctx, miner)
+        assert max(exact) == exact[2] > exact[0]
+        point = optimal_idle(ctx, miner)
+        assert (point.delta, point.utility) == (miner.m, float(exact[2])) == (1.0, -1e+293)
+        assert point.utility == smart_utility(ctx, miner)
+        assert point.roi == roi(point.utility, miner)
 
 
 class TestBruteForceIdle:
