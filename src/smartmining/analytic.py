@@ -61,47 +61,67 @@ def smart_utility(ctx: AggregateContext, miner: MinerParams) -> float:
             / [(M - m)/M + M/(M - m)]
 
     The idle epoch burns fc per time unit for its long duration; the boosted
-    epoch earns m*w/((M - m)*tau) against full costs.  Scalar only: this is
-    the independent reference for ``smarter_utility`` at delta = m, which
-    ``sweep`` evaluates over whole grids.
+    epoch earns m*w/((M - m)*tau) against full costs.  This is
+    ``_cycle_utility`` at delta = m, the kernel that ``smarter_utility``
+    evaluates too, so the two agree bit for bit wherever the direct value is
+    finite; the independent oracle for both is ``tests/_exact.py``.
 
     A term of the numerator can leave float range although u does not, such
-    as fc*M/(M - m) for a huge fc.  Where the direct value is not finite, the
-    formula runs once more on the market scaled by powers of two, power by
-    2**a, tau by 2**c and money by 2**b, which puts M, tau and the cost rate
-    into [0.5, 1); u scales by 2**b exactly, so it is scaled back by 2**-b.
-    A utility beyond float range stays the direct, non-finite value.
+    as fc*M/(M - m) for a huge fc.  Where the direct value is not finite,
+    ``_rescaled_fallback`` evaluates it once more on the market scaled by
+    powers of two and scales it back.  A utility beyond float range stays the
+    direct, non-finite value.
     """
     M, m = ctx.M, miner.m
     if not 0 < m < M:
         raise ValueError(f"deviating power must satisfy 0 < m < M, got m={m}, M={M}")
-    w, tau, fc, vc = ctx.coin.w, ctx.coin.tau, miner.fc, miner.vc
-    u = _smart_utility(M, m, w, tau, fc, vc)
-    if math.isfinite(u):
-        return u
-    try:
-        _, b, market = _rescaled_market(ctx, miner)
-        return math.ldexp(_smart_utility(*market), -b)
-    except OverflowError:   # a scaled field, or the utility itself, beyond float range
-        return u
+    return _rescaled_fallback(lambda ctx, miner: (miner.m, _cycle_utility(ctx, miner, miner.m)), ctx, miner)[1]
 
 
 def _rescaled_market(ctx, miner):
-    """(a, b, (M, m, w, tau, fc, vc)): the market with power scaled by 2**a,
-    tau by 2**c and money by 2**b, which puts M, tau and the cost rate into
-    [0.5, 1).  Raises OverflowError where a scaled field leaves float range."""
+    """(a, b, ctx, miner): the market with power scaled by 2**a, tau by 2**c
+    and money by 2**b, which puts M, tau and the cost rate into [0.5, 1).
+    Raises OverflowError where a scaled field leaves float range."""
     a, c, b = (-math.frexp(x)[1] for x in (ctx.M, ctx.coin.tau, miner.cost_rate))
-    return a, b, (math.ldexp(ctx.M, a), math.ldexp(miner.m, a), math.ldexp(ctx.coin.w, b + c),
-                  math.ldexp(ctx.coin.tau, c), math.ldexp(miner.fc, b), math.ldexp(miner.vc, b - a))
+    m, fc, vc = math.ldexp(miner.m, a), math.ldexp(miner.fc, b), math.ldexp(miner.vc, b - a)
+    coin = SimpleNamespace(w=math.ldexp(ctx.coin.w, b + c), tau=math.ldexp(ctx.coin.tau, c))
+    scaled = SimpleNamespace(M=math.ldexp(ctx.M, a), coin=coin)
+    return a, b, scaled, SimpleNamespace(m=m, fc=fc, vc=vc, cost_rate=fc + vc * m)
 
 
-def _smart_utility(M, m, w, tau, fc, vc) -> float:
-    """``smart_utility``'s formula on plain floats."""
-    r0 = w / (M * tau)
-    remaining = M - m
+def _rescaled_fallback(solve, ctx, miner):
+    """(delta, u) of ``solve(ctx, miner)`` for a single market, where
+    ``solve`` returns (delta, u, any other values that must be finite).
+
+    Where any of those values is not finite, ``solve`` runs once more on the
+    market of ``_rescaled_market``, and delta scales back by 2**-a and u by
+    2**-b: every utility scales exactly under such scalings.  Where a scaled
+    field or the answer leaves float range, the direct answer stands.
+    """
+    direct = solve(ctx, miner)
+    if not all(map(math.isfinite, direct)):
+        try:
+            a, b, ctx, miner = _rescaled_market(ctx, miner)
+            delta, u, *_ = solve(ctx, miner)
+            return math.ldexp(delta, -a), math.ldexp(u, -b)
+        except OverflowError:   # a scaled field, or the answer, beyond float range
+            pass
+    return direct[:2]
+
+
+def _cycle_utility(ctx, miner, delta):
+    """Long-run profit rate of the two-epoch cycle that idles ``delta``: the
+    one formula under ``smart_utility``, ``smarter_utility`` and
+    ``optimal_idle``.  It uses plain operators only, so floats and numpy
+    arrays alike broadcast through it without a numpy call; the callers
+    check the ranges."""
+    M, m = ctx.M, miner.m
+    r0 = ctx.coin.w / (M * ctx.coin.tau)
+    remaining = M - delta
     lre_weight = remaining / M
     hre_weight = M / remaining
-    num = m * r0 - (fc + vc * m) * lre_weight - fc * hre_weight
+    mhat = m - delta
+    num = m * r0 - miner.cost_rate * lre_weight + (r0 * mhat - miner.vc * mhat - miner.fc) * hre_weight
     den = lre_weight + hre_weight
     return num / den
 
@@ -113,8 +133,9 @@ def smarter_utility(ctx: AggregateContext, miner: MinerParams, delta):
     ``delta`` may be a float or a numpy array, and so may the market and
     miner parameters: they all broadcast elementwise, and every range check
     applies to each element.  delta = 0 is honest mining; delta = m is the
-    full-idle alternation of ``smart_utility``, reproduced exactly, operation
-    for operation, which is how ``sweep`` evaluates its smart mode.
+    full-idle alternation of ``smart_utility``.  Both evaluate the one kernel
+    ``_cycle_utility``, so they agree bit for bit wherever ``smart_utility``
+    needs no rescaled fallback; ``sweep`` evaluates its smart mode this way.
     """
     import numpy as np
     M, m = ctx.M, miner.m
@@ -122,14 +143,7 @@ def smarter_utility(ctx: AggregateContext, miner: MinerParams, delta):
         raise ValueError(f"miner power {m} exceeds total power {M}")
     if np.any((delta < 0) | (delta > m) | (delta >= M)):
         raise ValueError(f"idle power must lie in [0, {m}] and strictly below M={M}")
-    r0 = ctx.coin.w / (M * ctx.coin.tau)
-    remaining = M - delta
-    lre_weight = remaining / M
-    hre_weight = M / remaining
-    mhat = m - delta
-    num = m * r0 - miner.cost_rate * lre_weight + (r0 * mhat - miner.vc * mhat - miner.fc) * hre_weight
-    den = lre_weight + hre_weight
-    return num / den
+    return _cycle_utility(ctx, miner, delta)
 
 
 def dominance(x: float, y: float) -> bool:

@@ -166,12 +166,18 @@ def _load_scenario(path):
 
 def _load_market(path, miner_id):
     """The aggregate market of a scenario config and its miner ``miner_id``:
-    returns (ctx, miner).  An unknown miner is reported before the market is built."""
-    coin, miners, _ = _load_scenario(path)
-    for p in miners:
-        if p.id == miner_id:
-            return AggregateContext(M=total_power(miners), coin=coin), p
-    raise ConfigurationError(f"unknown miner '{miner_id}'")
+    returns (ctx, miner).  An unknown miner is reported before the market is
+    built, then the schedule of any other miner: the closed forms price
+    ``miner_id`` against always-on miners, and would drop that schedule."""
+    coin, miners, schedules = _load_scenario(path)
+    miner = next((p for p in miners if p.id == miner_id), None)
+    if miner is None:
+        raise ConfigurationError(f"unknown miner '{miner_id}'")
+    if other := next((s.miner_id for s in schedules if s.miner_id != miner_id), None):
+        raise ConfigurationError(
+            f"miner '{other}' has a schedule: the closed form prices '{miner_id}' against miners that "
+            f"never idle; use security or simulate for this scenario")
+    return AggregateContext(M=total_power(miners), coin=coin), miner
 
 
 def _refuse_binding_clamp(ctx, delta) -> None:

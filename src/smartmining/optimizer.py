@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import math
-from types import SimpleNamespace
 
-from .analytic import AggregateContext, SmarterPoint, _rescaled_market, roi, smarter_utility
+from .analytic import AggregateContext, SmarterPoint, _rescaled_fallback, roi, smarter_utility
 from .model import MinerParams
 
 # numpy loads inside the functions, as in analytic: the package and the CLI
@@ -33,7 +32,7 @@ def optimal_idle(ctx: AggregateContext, miner: MinerParams) -> SmarterPoint:
     are evaluated in this order by a single ``smarter_utility`` call.  Exact
     utility ties resolve to the smaller idle power, the lesser harm to coin
     security, so a clipped candidate yields its endpoint's bits; delta = m
-    is evaluated operation for operation like ``smart_utility``.
+    goes through ``analytic._cycle_utility``, the kernel of ``smart_utility``.
 
     Broadcasts: ``M``, ``w``, ``tau``, ``m``, ``fc`` and ``vc`` may be numpy
     arrays of one common broadcast shape (``sweep`` passes a whole grid), and
@@ -44,11 +43,12 @@ def optimal_idle(ctx: AggregateContext, miner: MinerParams) -> SmarterPoint:
     A term can leave float range although u does not, such as fc*M/(M - m)
     for a huge fc, and a candidate beyond float range would lose as -inf.
     For a single market where any candidate's utility is not finite, the
-    candidates run once more on the market scaled by powers of two, as in
-    ``smart_utility``'s fallback, and the answer scales back.  Where a
-    scaled field or the answer leaves float range, the direct answer stands,
-    and a utility beyond float range reaches the caller as a non-finite
-    result, which the CLI reports.  Arrays of markets keep the direct answer.
+    candidates run once more on the market scaled by powers of two, through
+    ``analytic._rescaled_fallback`` as in ``smart_utility``, and the answer
+    scales back.  Where a scaled field or the answer leaves float range, the
+    direct answer stands, and a utility beyond float range reaches the caller
+    as a non-finite result, which the CLI reports.  Arrays of markets keep
+    the direct answer.
 
     A sole miner (m = M) is rejected: delta = m would idle the whole network
     and stall the reduced epoch, so ``smarter_utility`` requires delta < M.
@@ -57,25 +57,16 @@ def optimal_idle(ctx: AggregateContext, miner: MinerParams) -> SmarterPoint:
     M, m = ctx.M, miner.m
     if not np.all((0 < m) & (m < M)):
         raise ValueError(f"deviating power must satisfy 0 < m < M, got m={m}, M={M}")
-    deltas, us = _candidates(ctx, miner)
-    best = np.argmax(us, axis=0)
-    delta, utility = np.choose(best, deltas), np.choose(best, us)
-    if utility.ndim == 0:   # a single market
-        delta, utility = float(delta), float(utility)
-        if not np.isfinite(us).all():
-            try:   # delta scales back by 2**-a, and u by 2**-b
-                a, b, (M, m, w, tau, fc, vc) = _rescaled_market(ctx, miner)
-                deltas, us = _candidates(SimpleNamespace(M=M, coin=SimpleNamespace(w=w, tau=tau)),
-                                         SimpleNamespace(m=m, fc=fc, vc=vc, cost_rate=fc + vc * m))
-                best = int(np.argmax(us))
-                delta, utility = math.ldexp(float(deltas[best]), -a), math.ldexp(float(us[best]), -b)
-            except OverflowError:   # a scaled field, or the answer, beyond float range
-                pass
+    if np.broadcast(M, m, ctx.coin.w, ctx.coin.tau, miner.fc, miner.vc).ndim:   # arrays of markets
+        delta, utility, *_ = _best_candidate(ctx, miner)
+    else:
+        delta, utility = map(float, _rescaled_fallback(_best_candidate, ctx, miner))
     return SmarterPoint(delta=delta, utility=utility, roi=roi(utility, miner))
 
 
-def _candidates(ctx, miner):
-    """``optimal_idle``'s three idle powers, stacked on a leading axis, and their utilities."""
+def _best_candidate(ctx, miner):
+    """``optimal_idle``'s direct answer (delta, u), the best of its three
+    candidate idle powers, followed by the three candidates' utilities."""
     import numpy as np
     # math.hypot elementwise: np.hypot rounds differently in the last place
     hypot = np.frompyfunc(math.hypot, 2, 1)
@@ -86,17 +77,19 @@ def _candidates(ctx, miner):
     q1 = m * r0 + M * g
     q0 = -(g * (M - m) + miner.fc)
     b = q2 - q0
-    s = np.copysign(np.asarray(hypot(b, q1), dtype=float), q1)
     # stable quadratic formula: never add terms of opposite sign; np.where
     # also evaluates the branch it discards.  A root at or beyond either end,
     # or +-inf, clips to that end, and the NaN of q1 == 0 (whose root delta =
-    # M lies beyond m) to m, as fmin drops a NaN.  A utility beyond float
-    # range reads -inf, +inf or NaN here
+    # M lies beyond m) to m, as fmin drops a NaN.  hypot(b, q1) beyond float
+    # range reads inf, and a utility beyond it -inf, +inf or NaN
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.copysign(np.asarray(hypot(b, q1), dtype=float), q1)
         rho_plus = np.where(b * q1 >= 0, (b + s) / q1, -q1 / (b - s))
         interior = np.fmax(np.fmin(M * (1 - rho_plus), m), 0.0)
         deltas = np.stack(np.broadcast_arrays(0.0, interior, m))
-        return deltas, smarter_utility(ctx, miner, deltas)
+        us = smarter_utility(ctx, miner, deltas)
+    best = np.argmax(us, axis=0)
+    return np.choose(best, deltas), np.choose(best, us), *us
 
 
 def brute_force_idle(ctx: AggregateContext, miner: MinerParams, resolution: int) -> SmarterPoint:

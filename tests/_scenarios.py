@@ -154,3 +154,13 @@ HUGE_REWARD_CONFIG = {
     "reward": 1e308,
     "miners": [{"id": mid, "m": 0.5, "fc": 1.0, "vc": 0.0} for mid in ("a", "b")],
 }
+
+# optimal_idle's hypot(b, q1) for miner a overflows to inf, which puts its
+# stationary point at delta = 0, while every candidate's utility is finite:
+# delta = m is best, at utility about -1.41e+307
+OVERFLOWING_HYPOT_CONFIG = {
+    "coin": {"tau": 8.823464748537748e+239},
+    "reward": 3.2307119429131803e+143,
+    "miners": [{"id": "a", "m": 2.1718247984889193e+29, "fc": 1.7213835289545816e-71, "vc": 1.7334829710876523e+278},
+               {"id": "b", "m": 7.476699753124547e+29, "fc": 1.0, "vc": 1.0}],
+}

@@ -24,6 +24,7 @@ from _scenarios import (
     HUGE_TAU_SCHEDULE_CONFIG,
     NO_REPEAT_CONFIG,
     OVERFLOWING_CANDIDATE_CONFIG,
+    OVERFLOWING_HYPOT_CONFIG,
     OVERFLOWING_TERM_CONFIG,
     moderate_market,
     scaled_market,
@@ -41,6 +42,20 @@ SMART_CONFIG = {
         {"id": "rest", "m": 80.0, "fc": 0.0, "vc": 0.01},
     ],
     "schedules": [{"miner_id": "attacker", "powers": [0.0, 20.0]}],
+}
+
+# attack_trio's market: the attacker idles in even epochs and the bystander
+# in odd ones, the attacker's full epochs
+BYSTANDER_CONFIG = {
+    "coin": {"tau": 600.0, "epsilon": 0.0},
+    "reward": "calibrated",
+    "miners": [
+        {"id": "attacker", "m": 20.0, "fc": 0.03, "vc": 0.0085},
+        {"id": "bystander", "m": 10.0, "fc": 0.02, "vc": 0.008},
+        {"id": "rest", "m": 70.0, "fc": 0.0, "vc": 0.01},
+    ],
+    "schedules": [{"miner_id": "attacker", "powers": [0.0, 20.0], "offset": 0},
+                  {"miner_id": "bystander", "powers": [0.0, 10.0], "offset": 1}],
 }
 
 HONEST_CONFIG = {
@@ -483,6 +498,19 @@ class TestAnalyze:
         assert main(["analyze", cfg, "--miner", "ghost"]) == 2
         errors = json.loads(capsys.readouterr().err)
         assert any("unknown miner" in e for e in errors)
+
+    @pytest.mark.parametrize("command", ["analyze", "optimize"])
+    def test_another_miners_schedule_exits_2(self, tmp_path, capsys, command):
+        # the bystander idles in the attacker's full epochs; the closed forms
+        # would price the attacker as if it never did, so they refuse
+        cfg = _write_config(tmp_path, BYSTANDER_CONFIG)
+        assert main([command, cfg, "--miner", "attacker"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [error] = json.loads(captured.err)
+        assert "'bystander' has a schedule" in error and "use security or simulate" in error
+        assert main(["security", cfg]) == 0
+        capsys.readouterr()
 
 
 class TestOptimize:
@@ -1190,6 +1218,18 @@ class TestCliContract:
         optimized, analyzed = reports
         assert (optimized["delta"], optimized["utility"]) == (1.0, -1e+293) == (1.0, analyzed["smart_utility"])
         assert optimized["schedule"]["powers"] == [0.0, 1.0]
+
+    def test_optimize_with_an_overflowing_hypot_writes_nothing_to_stderr(self, tmp_path, capsys):
+        # the stationarity quadratic's hypot(b, q1) overflows for miner a: in
+        # this process a numpy overflow warning would raise, so exit 0 with an
+        # empty stderr shows that none is emitted
+        cfg = _write_config(tmp_path, OVERFLOWING_HYPOT_CONFIG)
+        assert main(["optimize", cfg, "--miner", "a"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        m = OVERFLOWING_HYPOT_CONFIG["miners"][0]["m"]
+        assert (report["delta"], report["utility"]) == (m, -1.4125127097158526e+307)
 
 
 # five miners, four of them deviating with periods 97, 89, 83 and 79: a common
