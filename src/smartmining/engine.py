@@ -14,7 +14,7 @@ epochs whose phase k mod p recurs (p the lcm of the schedule periods), each
 from __future__ import annotations
 
 import math
-from itertools import islice
+from itertools import cycle, islice, repeat
 
 from .model import (
     ConfigurationError,
@@ -56,14 +56,17 @@ def step_epoch(k: int, H: float, active, coin, miners, *, state=None) -> tuple[E
 
     One pass over ``miners`` reads and range-checks each active power, so an
     active power outside [0, m] raises ValueError naming the first such miner
-    in config order, before the stall check.
+    in config order.  Then an id in ``active`` that names no miner raises
+    ValueError naming the first such id in the map's order, before the stall
+    check.
 
     Raises StalledEpochError when no power is active: the epoch would never
     complete and the utility of the run is undefined.  Raises ValueError for
-    k < 1, an active power outside [0, m], a workload that is not > 0, a
-    duration H/A that is not > 0 (it can underflow to 0 after a tiny
-    retarget) or overflows (on a tiny active power), or a revenue per hash
-    w/H that overflows (after a retarget to a tiny H).
+    k < 1, an active power outside [0, m], an unknown miner id in
+    ``active``, a workload that is not > 0, a duration H/A that is not > 0
+    (it can underflow to 0 after a tiny retarget) or overflows (on a tiny
+    active power), or a revenue per hash w/H that overflows (after a retarget
+    to a tiny H).
 
     Without ``state``, the epoch range-checks ``active`` and sums A, the
     ``ordered_sum`` of the active powers in config order, itself.  A given
@@ -80,9 +83,12 @@ def step_epoch(k: int, H: float, active, coin, miners, *, state=None) -> tuple[E
     if H <= 0:
         raise ValueError(f"epoch {k}: epoch workload must be > 0, got {H}")
     if state is None:
-        powers = [mhat if 0 <= (mhat := active.get(mid, m)) <= m
+        rest = dict(active)   # the ids that name no miner are left over
+        powers = [mhat if 0 <= (mhat := rest.pop(mid, m)) <= m
                   else _require(False, f"active power {mhat} outside [0, {m}] for miner '{mid}'")
                   for mid, m, _, _ in miners]
+        if rest:
+            raise ValueError(f"active power for unknown miner '{next(iter(rest))}'")
         A = ordered_sum(powers)
     else:
         per_miner, A = state
@@ -113,65 +119,62 @@ def _check_scenario(coin, miners, schedules) -> None:
 def _simulate(coin, miners, schedules, horizon: int):
     """Yield the records of epochs 1..horizon from the calibrated start H_1 = M*tau.
 
-    Each schedule entry is named once, by ``float.hex`` of its power, so
-    equal names are equal bits: -0.0 == 0.0, yet a -0.0 power has a name of
-    its own and writes its own ``mhat`` and ``R``.  A phase k mod p has the
-    names of its scheduled miners' entries in schedule order, and phases
-    with the same names share one row (names, A, *scheduled powers), A the
-    ``ordered_sum`` of the phase's full power row in config order, every
-    other miner at capacity.  Those are the floats ``step_epoch`` adds, in
-    its order, so A has its bits, and ``validate_scenario`` has checked every
-    schedule power against its miner's capacity.  A step at a known workload
-    gets the ``state`` (per_miner, A); one that takes ``step_epoch``'s full
-    path gets an active map of the scheduled miners instead.
+    Each schedule entry is named by ``float.hex`` of its power, so equal
+    names are equal bits: -0.0 == 0.0, yet a -0.0 power has a name of its
+    own and writes its own ``mhat`` and ``R``.  One iterator gives each
+    epoch the names of its scheduled miners' entries, in schedule order, and
+    epochs with the same names share one row (A, active, states): ``active``
+    maps each scheduled miner to its power, A is the ``ordered_sum`` of the
+    full power row in config order, every other miner at capacity, and
+    ``states`` maps a workload H to the state (per_miner, A) at H.  A has the
+    bits of the floats ``step_epoch`` adds, in its order, and
+    ``validate_scenario`` has checked every schedule power against its
+    miner's capacity.  A step at a known workload gets its ``state``; one
+    that takes ``step_epoch``'s full path gets the row's ``active`` instead.
 
     Every epoch makes one ``step_epoch`` call, in order.  Among epochs whose
-    phase recurs within the horizon, each (workload, miner, power bits) has
-    one rates object, and each state, H and the entry names, one
-    ``per_miner`` tuple.
+    phase k mod p recurs within the horizon (p the lcm of the schedule
+    periods), each (workload, miner, power bits) has one rates object, and
+    each state, H and the entry names, one ``per_miner`` tuple.
 
     The first state at a workload H takes ``step_epoch``'s full path and its
     rates, so an unseen H passes every check before its rates are built.  A
     later state at H starts from that tuple: a scheduled miner whose entry
     name differs from the first state's takes its rates from a memo by name
     and H, built on first use, and a state with the first state's names is
-    the first state again.  Only epochs whose phase recurs store their
-    state, their rates and their phase's row, and the first state at H is
-    found by H alone, so a trace that never repeats stores no state key.
+    the first state again.  Only epochs whose phase recurs store their row,
+    their state and their rates.  A state is found by its row and its
+    workload, and the first state at H by H alone, so no state has a key of
+    its own.
     """
     H = total_power(miners) * coin.tau
     # exact tuples unpack on the interpreter's specialized path, which namedtuple field reads miss
     miners = [tuple(p) for p in miners]
     column = {p[0]: i for i, p in enumerate(miners)}
-    # StrategySchedule.power_at, inlined, over entry names
-    plan = [(s.miner_id, [x.hex() for x in s.powers], s.offset - 1, s.period) for s in schedules]
-    power = {name: float.fromhex(name) for _, ns, _, _ in plan for name in ns}
-    scheduled = [(column[mid], miners[column[mid]]) for mid, *_ in plan]   # (position, miner) in schedule order
-    p = math.lcm(*(n for *_, n in plan))
-    phases = {}     # k mod p -> its row (names, A, *scheduled powers)
-    rows = {}       # entry names -> their row
+    scheduled = [(column[s.miner_id], miners[column[s.miner_id]]) for s in schedules]   # (position, miner)
+    power = {x.hex(): x for s in schedules for x in s.powers}
+    p = math.lcm(*(s.period for s in schedules))
+    # the entry names of epochs 1, 2, ...: StrategySchedule.power_at, inlined
+    epoch_names = (zip(*(islice(cycle(map(float.hex, s.powers)), s.offset % s.period, None) for s in schedules))
+                   if schedules else repeat(()))
+    rows = {}       # entry names -> their row (A, active, {H: (per_miner, A)})
     firsts = {}     # H -> (names, per_miner) of the first state at workload H
-    shared = {}     # (H, names) -> (per_miner, A) of a state at a known H
     # per scheduled miner: entry name -> {H: its rates}; no (H, name) keys,
     # whose tuples, freed at the end, would keep arenas mapped
-    memo = [{} for _ in plan]
-    for k in range(1, horizon + 1):
+    memo = [{} for _ in schedules]
+    for k, names in enumerate(islice(epoch_names, horizon), start=1):
         recurs = k + p <= horizon
-        row = phases.get(k % p)
-        if row is None:
-            names = tuple(ns[(shift + k) % n] for _, ns, shift, n in plan)
-            row = rows.get(names)
-            if row is None:   # A adds the scheduled powers and every other capacity in config order
-                at = {i: power[name] for (i, _), name in zip(scheduled, names)}
-                row = (names, ordered_sum(at.get(i, m) for i, (_, m, _, _) in enumerate(miners)),
-                       *(power[name] for name in names))
+        row = rows.get(names)
+        if row is None:   # A adds the scheduled powers and every other capacity in config order
+            active = {s.miner_id: power[name] for s, name in zip(schedules, names)}
+            row = (ordered_sum(active.get(mid, m) for mid, m, _, _ in miners), active, {})
             if recurs:
-                phases[k % p] = rows[names] = row
-        names = row[0]
-        state = shared.get((H, names))
-        first = None if state is not None else firsts.get(H)
-        if first is not None:   # a state at a known H: only scheduled miners can differ from its first state
-            # step_epoch's own rph; this H passed its checks in its first state
+                rows[names] = row
+        A, active, states = row
+        state = states.get(H)
+        if state is None and (first := firsts.get(H)) is not None:
+            # a state at a known H: only scheduled miners can differ from its first state;
+            # step_epoch's own rph, as this H passed its checks in its first state
             first_names, per_miner = first
             rph, per = coin.w / H, list(per_miner)
             for (i, miner), by_name, name, first_name in zip(scheduled, memo, names, first_names):
@@ -180,11 +183,10 @@ def _simulate(coin, miners, schedules, horizon: int):
                     per[i] = by_H.get(H) or _rates(rph, (miner,), (power[name],))[0]
                     if recurs:
                         by_H[H] = per[i]
-            state = (per_miner if names == first_names else tuple(per), row[1])
+            state = (per_miner if names == first_names else tuple(per), A)
             if recurs:   # later epochs in this state then find it in one lookup
-                shared[H, names] = state
-        active = None if state is not None else {mid: mhat for (mid, *_), mhat in zip(plan, row[2:])}
-        record, H_next = step_epoch(k, H, active, coin, miners, state=state)
+                states[H] = state
+        record, H_next = step_epoch(k, H, active if state is None else None, coin, miners, state=state)
         if state is None and recurs:   # the first state at H
             firsts[H] = (names, record.per_miner)
         H = H_next

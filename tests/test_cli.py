@@ -1125,9 +1125,10 @@ _MAGNITUDES = st.builds(lambda mantissa, exponent: mantissa * 10.0 ** exponent,
 
 @st.composite
 def _scaled_invocations(draw):
-    """``analyze``, ``optimize``, ``security --entrant`` or ``simulate`` on a
-    two-miner market whose numbers are each drawn from 1e-300 to 1e300: a
-    market at any scale, which patching one field of SMART_CONFIG never builds."""
+    """``analyze``, ``optimize``, ``security`` with or without ``--entrant``
+    or ``simulate`` on a two-miner market whose numbers are each drawn from
+    1e-300 to 1e300: a market at any scale, which patching one field of
+    SMART_CONFIG never builds."""
     m_a, m_b = draw(_MAGNITUDES), draw(_MAGNITUDES)
     miners = [{"id": mid, "m": m, "fc": draw(st.just(0.0) | _MAGNITUDES), "vc": draw(st.just(0.0) | _MAGNITUDES)}
               for mid, m in (("a", m_a), ("b", m_b))]
@@ -1135,7 +1136,7 @@ def _scaled_invocations(draw):
            "miners": miners, "schedules": [{"miner_id": "a", "powers": [0.0, m_a]}]}
     command = draw(st.sampled_from(["analyze", "optimize", "security", "simulate"]))
     if command == "security":
-        return doc, command, ["--entrant", repr(draw(st.just(0.0) | _MAGNITUDES))]
+        return doc, command, draw(st.just([]) | (st.just(0.0) | _MAGNITUDES).map(lambda e: ["--entrant", repr(e)]))
     if command == "simulate":
         return doc, command, ["--epochs", str(draw(st.integers(1, 20)))]
     return doc, command, ["--miner", "a"]

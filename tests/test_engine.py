@@ -89,6 +89,19 @@ class TestStepEpoch:
         with pytest.raises(ValueError, match=r"^active power nan outside \[0, 10\.0\] for miner 'a'$"):
             step_epoch(1, 60000.0, {"c": 31.0, "a": float("nan")}, _coin(), miners)
 
+    def test_unknown_miner_id_rejected(self):
+        # "A" is no miner's id: it does not idle a, and neither miner mines at
+        # full power unnoticed
+        miners = [MinerParams("a", 10.0, 0.1, 0.01), MinerParams("b", 5.0, 0.1, 0.01)]
+        with pytest.raises(ValueError, match=r"^active power for unknown miner 'A'$"):
+            step_epoch(1, 9000.0, {"A": 0.0}, _coin(), miners)
+        # after the range check and before the stall check
+        with pytest.raises(ValueError, match=r"^active power 6\.0 outside \[0, 5\.0\] for miner 'b'$"):
+            step_epoch(1, 9000.0, {"x": 0.0, "b": 6.0}, _coin(), miners)
+        # both miners idle, so A = 0.0 would stall the epoch
+        with pytest.raises(ValueError, match=r"^active power for unknown miner 'x'$"):
+            step_epoch(1, 9000.0, {"a": 0.0, "x": 1.0, "b": 0.0, "y": 1.0}, _coin(), miners)
+
     def test_epoch_index_below_one_rejected(self):
         with pytest.raises(ValueError, match="epoch index must be >= 1, got 0"):
             step_epoch(0, 60000.0, {}, _coin(), _two_miners())
@@ -724,6 +737,20 @@ class TestSharedRates:
         assert sorted(rows) == sorted({tuple(ps[j % len(ps)].hex() for ps in powers.values()) for j in range(p)})
         assert len({(rec.H.hex(), id(rec.total_active)) for rec in cycle}) == p
 
+    @pytest.mark.parametrize("clamp", [None, 1.2])
+    def test_no_schedule_equals_the_plain_step_loop(self, clamp):
+        # without schedules every epoch has the empty tuple of entry names, so
+        # every record of the honest equilibrium holds one per_miner tuple
+        coin, miners = _coin(clamp=clamp), _two_miners()
+        expected = [_bits(r) for r in _plain_step_loop(coin, miners, [], 6)]
+        records = run(coin, miners, [], 6).records
+        assert [_bits(r) for r in records] == expected
+        assert len({id(rec.per_miner) for rec in records}) == 1
+        if clamp is None:
+            cycle = steady_cycle(coin, miners, [])
+            assert [_bits(r) for r in cycle] == [_bits(r) for r in _plain_step_loop(coin, miners, [], 3)[2:]]
+            assert len({id(rec.per_miner) for rec in cycle}) == 1
+
     def test_always_on_config_shares_rates_by_workload_and_power(self, tmp_path):
         # m03 runs its capacity 9.5 in one phase and m07 -0.0 in another; over
         # the epochs of the 3p stream whose phase recurs, each workload, miner
@@ -763,8 +790,8 @@ class TestSharedRates:
     def test_run_that_never_repeats_keeps_no_state_keys(self, tmp_path):
         # every epoch of this trace is a new state at a new workload: beyond
         # the records it returns, run holds one dict slot per epoch, keyed by
-        # the record's own H (about 40 B); a packed state key besides would
-        # bring it to about 86 B
+        # the record's own H (about 40 B); a key of its own per state, such as
+        # a tuple of H and the entry names, would bring it to about 86 B
         from smartmining.cli import _load_scenario
 
         config = tmp_path / "config.json"
