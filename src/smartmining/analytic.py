@@ -11,6 +11,12 @@ cycle weighted by the epoch durations
 
 Everything is invariant to absolute power and money scales: results depend
 only on the power share x = m/M and the fixed-cost share y = fc/(vc*m + fc).
+
+These closed forms hold only while the coin's clamp, if any, binds on
+neither retarget of the cycle.  ``_require_unclamped_cycle`` owns that
+domain: ``smart_utility``, ``epoch_table_smart`` and ``optimal_idle`` on a
+single market refuse a binding clamp with a ``ConfigurationError``, while
+``smarter_utility`` and arrays evaluate the unclamped cycle at any delta.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import math
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, NamedTuple
 
-from .model import CoinParams, MinerParams, _finite, _require, _validating_make, _workload_error
+from .model import CoinParams, ConfigurationError, MinerParams, _finite, _require, _validating_make, _workload_error
 
 # numpy loads inside the array functions (smarter_utility, sweep), so that the
 # scalar closed forms and the CLI commands that build no array start without it
@@ -64,7 +70,9 @@ def smart_utility(ctx: AggregateContext, miner: MinerParams) -> float:
     epoch earns m*w/((M - m)*tau) against full costs.  This is
     ``_cycle_utility`` at delta = m, the kernel that ``smarter_utility``
     evaluates too, so the two agree bit for bit wherever the direct value is
-    finite; the independent oracle for both is ``tests/_exact.py``.
+    finite; the independent oracle for both is ``tests/_exact.py``.  A clamp
+    that binds on this cycle raises ``ConfigurationError``
+    (``_require_unclamped_cycle``), where ``smarter_utility`` does not check.
 
     A term of the numerator can leave float range although u does not, such
     as fc*M/(M - m) for a huge fc.  Where the direct value is not finite,
@@ -72,10 +80,24 @@ def smart_utility(ctx: AggregateContext, miner: MinerParams) -> float:
     powers of two and scales it back.  A utility beyond float range stays the
     direct, non-finite value.
     """
-    M, m = ctx.M, miner.m
+    _require_unclamped_cycle(ctx, miner.m, miner.m)
+    return _rescaled_fallback(lambda ctx, miner: (miner.m, _cycle_utility(ctx, miner, miner.m)), ctx, miner)[1]
+
+
+def _require_unclamped_cycle(ctx, m, delta) -> None:
+    """Raise unless the closed forms hold for a deviating power ``m`` that
+    idles ``delta``: ValueError unless 0 < m < M, and ConfigurationError when
+    the coin's clamp binds on either retarget of the cycle, the idle epoch's
+    drop from M*tau to (M - delta)*tau or the full epoch's rise back.  The
+    closed forms assume the unclamped retarget, so their numbers would be
+    wrong there."""
+    M, tau, c = ctx.M, ctx.coin.tau, ctx.coin.clamp
     if not 0 < m < M:
         raise ValueError(f"deviating power must satisfy 0 < m < M, got m={m}, M={M}")
-    return _rescaled_fallback(lambda ctx, miner: (miner.m, _cycle_utility(ctx, miner, miner.m)), ctx, miner)[1]
+    if c is not None and ((M - delta) * tau < M * tau / c or M * tau > (M - delta) * tau * c):
+        raise ConfigurationError(
+            f"clamp {c!r} binds at idle power {delta!r}, beyond the bind point M*(1 - 1/clamp) = "
+            f"{M * (1 - 1 / c)!r}: the closed form assumes an unclamped retarget; use simulate instead")
 
 
 def _rescaled_market(ctx, miner):
@@ -136,6 +158,8 @@ def smarter_utility(ctx: AggregateContext, miner: MinerParams, delta):
     full-idle alternation of ``smart_utility``.  Both evaluate the one kernel
     ``_cycle_utility``, so they agree bit for bit wherever ``smart_utility``
     needs no rescaled fallback; ``sweep`` evaluates its smart mode this way.
+    It evaluates the unclamped cycle at any ``delta`` and ignores the coin's
+    clamp, which ``smart_utility`` would refuse where it binds.
     """
     import numpy as np
     M, m = ctx.M, miner.m
@@ -188,11 +212,11 @@ def epoch_table_smart(ctx: AggregateContext, miner: MinerParams) -> dict[str, fl
     ``h_hre, t_hre, rph_hre, p_hre`` the full-power epoch retargeted down to
     (M - m)*tau.  The revenue-per-hash ratio rph_hre/rph_lre is M/(M - m).
     A workload (M - m)*tau that underflows to 0 is a domain error: its price
-    w/h_hre would divide by 0.
+    w/h_hre would divide by 0.  So is a clamp that binds on either retarget
+    (``_require_unclamped_cycle``), which raises ``ConfigurationError``.
     """
     M, m = ctx.M, miner.m
-    if not 0 < m < M:
-        raise ValueError(f"deviating power must satisfy 0 < m < M, got m={m}, M={M}")
+    _require_unclamped_cycle(ctx, m, m)
     w, tau = ctx.coin.w, ctx.coin.tau
     h_lre = M * tau
     h_hre = (M - m) * tau

@@ -180,18 +180,6 @@ def _load_market(path, miner_id):
     return AggregateContext(M=total_power(miners), coin=coin), miner
 
 
-def _refuse_binding_clamp(ctx, delta) -> None:
-    """Raise ConfigurationError when the coin's clamp would bind on either
-    retarget of the idle/full cycle at idle power ``delta``: the idle epoch's
-    drop from M*tau to (M - delta)*tau, or the full epoch's rise back.  The
-    closed forms assume the unclamped retarget, so their numbers would be wrong."""
-    c, M, tau = ctx.coin.clamp, ctx.M, ctx.coin.tau
-    if c is not None and ((M - delta) * tau < M * tau / c or M * tau > (M - delta) * tau * c):
-        raise ConfigurationError(
-            f"clamp {c!r} binds at idle power {delta!r}, beyond the bind point M*(1 - 1/clamp) = "
-            f"{M * (1 - 1 / c)!r}: the closed form assumes an unclamped retarget; use simulate instead")
-
-
 def _non_finite_path(doc, path=""):
     """Key path of the first non-finite number in ``doc``, in output order, or None."""
     if isinstance(doc, float):
@@ -281,6 +269,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_analyze(args) -> int:
     ctx, miner = _load_market(args.config, args.miner)
     x = miner.m / ctx.M
+    if x == 0:
+        raise ConfigurationError(f"power share m/M = {miner.m!r}/{ctx.M!r} underflows to 0.0, yet m > 0")
     y = miner.fc / miner.cost_rate
     u = smart_utility(ctx, miner)
     report = {
@@ -297,7 +287,6 @@ def _cmd_analyze(args) -> int:
     except ValueError:
         report["min_power_for_profit"] = None
         report["min_power_reason"] = "no power share suffices"
-    _refuse_binding_clamp(ctx, miner.m)
     print(_json(report))
     return EXIT_OK
 
@@ -305,7 +294,6 @@ def _cmd_analyze(args) -> int:
 def _cmd_optimize(args) -> int:
     ctx, miner = _load_market(args.config, args.miner)
     point = optimal_idle(ctx, miner)
-    _refuse_binding_clamp(ctx, point.delta)
     print(_json({
         "miner": miner.id,
         "delta": point.delta,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from .analytic import AggregateContext, SmarterPoint, _rescaled_fallback, roi, smarter_utility
+from .analytic import AggregateContext, SmarterPoint, _require_unclamped_cycle, _rescaled_fallback, roi, smarter_utility
 from .model import MinerParams
 
 # numpy loads inside the functions, as in analytic: the package and the CLI
@@ -50,6 +50,13 @@ def optimal_idle(ctx: AggregateContext, miner: MinerParams) -> SmarterPoint:
     as a non-finite result, which the CLI reports.  Arrays of markets keep
     the direct answer.
 
+    A single market whose coin's clamp binds on the cycle at the winning
+    idle power raises ``ConfigurationError``, as ``smart_utility`` does at
+    delta = m (``analytic._require_unclamped_cycle``).  The candidates are
+    compared unclamped, so one beyond the bind point may lose to a winner
+    that does not bind, which stands.  Arrays of markets, such as
+    ``sweep``'s canonical ones, are not checked against a clamp.
+
     A sole miner (m = M) is rejected: delta = m would idle the whole network
     and stall the reduced epoch, so ``smarter_utility`` requires delta < M.
     """
@@ -61,6 +68,7 @@ def optimal_idle(ctx: AggregateContext, miner: MinerParams) -> SmarterPoint:
         delta, utility, *_ = _best_candidate(ctx, miner)
     else:
         delta, utility = map(float, _rescaled_fallback(_best_candidate, ctx, miner))
+        _require_unclamped_cycle(ctx, m, delta)
     return SmarterPoint(delta=delta, utility=utility, roi=roi(utility, miner))
 
 

@@ -5,9 +5,11 @@ cost-plus-margin rate is proportional to its hash power, so at full
 participation each miner earns exactly the margin epsilon.  This is the state
 all deviation closed forms are derived against.  ``NO_REPEAT_CONFIG`` and
 ``ALWAYS_ON_CONFIG`` are scenario config documents, shared with the CI step
-that compares outputs across Python versions.
+that compares outputs across Python versions, and ``SMART_CONFIG``,
+``clamped`` and ``CLAMPED_BIG_CONFIG`` are the CLI's reference configs.
 """
 
+import json
 import math
 
 from smartmining import (
@@ -78,18 +80,60 @@ def moderate_market(rng):
 
 
 def config_market(doc):
-    """The coin and miners of a config document with a numeric reward."""
-    coin = CoinParams(tau=doc["coin"]["tau"], epsilon=doc["coin"].get("epsilon", 0.0), w=doc["reward"])
-    return coin, [MinerParams(**p) for p in doc["miners"]]
+    """The coin and miners of a config document, with its numeric reward or,
+    where it has none or "calibrated", the reward the CLI calibrates."""
+    miners = [MinerParams(**p) for p in doc["miners"]]
+    tau, epsilon = doc["coin"]["tau"], doc["coin"].get("epsilon", 0.0)
+    w = doc.get("reward", "calibrated")
+    if w == "calibrated":
+        w = calibrate_reward(miners, tau, epsilon)
+    return CoinParams(tau=tau, epsilon=epsilon, w=w, clamp=doc["coin"].get("clamp")), miners
 
 
 def context_for(coin, miners) -> AggregateContext:
     return AggregateContext(M=total_power(miners), coin=coin)
 
 
+def config_deviator(doc, miner_id):
+    """(ctx, miner): the market of a config document and its miner
+    ``miner_id``, as ``analyze`` and ``optimize`` build them."""
+    coin, miners = config_market(doc)
+    return context_for(coin, miners), next(p for p in miners if p.id == miner_id)
+
+
 def alternation(miner, delta, offset=0) -> StrategySchedule:
     """Period-2 schedule: idle ``delta`` of capacity, then full power."""
     return StrategySchedule(miner.id, (miner.m - delta, miner.m), offset=offset)
+
+
+SMART_CONFIG = {
+    "coin": {"tau": 600.0, "epsilon": 0.0},
+    "reward": "calibrated",
+    "miners": [
+        {"id": "attacker", "m": 20.0, "fc": 0.03, "vc": 0.0085},
+        {"id": "rest", "m": 80.0, "fc": 0.0, "vc": 0.01},
+    ],
+    "schedules": [{"miner_id": "attacker", "powers": [0.0, 20.0]}],
+}
+
+
+def clamped(clamp):
+    """A copy of SMART_CONFIG whose coin has the retarget clamp ``clamp``.
+    Of M = 100 the attacker's full idle power is 20 and its tuned idle power
+    13.27, and a clamp c binds beyond M*(1 - 1/c): 9.09 at c = 1.1, 16.67 at
+    c = 1.2 and 23.08 at c = 1.3."""
+    doc = json.loads(json.dumps(SMART_CONFIG))
+    doc["coin"]["clamp"] = clamp
+    return doc
+
+
+# at clamp 1.2 a 4000-epoch simulate of big's [0, 40] pays it 0.02627, not the
+# unclamped 0.05059 that analyze would print
+CLAMPED_BIG_CONFIG = {
+    "coin": {"tau": 600.0, "epsilon": 0.01, "clamp": 1.2},
+    "miners": [{"id": "big", "m": 40.0, "fc": 0.05, "vc": 0.004}, {"id": "a", "m": 35.0, "fc": 0.0, "vc": 0.01},
+               {"id": "b", "m": 25.0, "fc": 0.02, "vc": 0.008}],
+}
 
 
 # clamp 1.0001 against a 1e6-power miner that never mines: the workload falls

@@ -8,10 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _exact import smart_utility as exact_smart_utility
-from _scenarios import OVERFLOWING_TERM_CONFIG, alternation, config_market, context_for, proportional_scenario
+from _scenarios import (
+    CLAMPED_BIG_CONFIG,
+    OVERFLOWING_TERM_CONFIG,
+    SMART_CONFIG,
+    alternation,
+    clamped,
+    config_deviator,
+    config_market,
+    context_for,
+    proportional_scenario,
+)
 from smartmining import (
     AggregateContext,
     CoinParams,
+    ConfigurationError,
     MinerParams,
     dominance,
     epoch_table_smart,
@@ -283,6 +294,40 @@ class TestEpochTable:
         avg = (table["p_hre"] * table["t_hre"] + table["p_lre"] * table["t_lre"]) / (
             table["t_hre"] + table["t_lre"])
         assert avg == pytest.approx(smart_utility(ctx, miner), rel=1e-12)
+
+
+# the refusals that analyze prints for a clamp that binds at delta = m
+BINDS_AT_20 = ("clamp 1.1 binds at idle power 20.0, beyond the bind point M*(1 - 1/clamp) = 9.090909090909093: "
+               "the closed form assumes an unclamped retarget; use simulate instead")
+BINDS_AT_40 = ("clamp 1.2 binds at idle power 40.0, beyond the bind point M*(1 - 1/clamp) = 16.666666666666664: "
+               "the closed form assumes an unclamped retarget; use simulate instead")
+
+
+class TestBindingClamp:
+    """``smart_utility`` and ``epoch_table_smart`` price the unclamped
+    full-idle cycle, so they refuse a clamp that binds on it, with the
+    message that ``analyze`` prints; ``smarter_utility`` does not check."""
+
+    @pytest.mark.parametrize("closed_form", [smart_utility, epoch_table_smart])
+    @pytest.mark.parametrize("doc,miner_id,message", [(clamped(1.1), "attacker", BINDS_AT_20),
+                                                      (CLAMPED_BIG_CONFIG, "big", BINDS_AT_40)],
+                             ids=["attacker-1.1", "big-1.2"])
+    def test_binding_clamp_raises_the_cli_message(self, closed_form, doc, miner_id, message):
+        with pytest.raises(ConfigurationError) as info:
+            closed_form(*config_deviator(doc, miner_id))
+        assert info.value.errors == [message]
+
+    @pytest.mark.parametrize("closed_form", [smart_utility, epoch_table_smart])
+    @pytest.mark.parametrize("clamp", [1.3, 4.0])
+    def test_non_binding_clamp_keeps_the_unclamped_bits(self, closed_form, clamp):
+        # the attacker's delta = 20 lies below the bind points 23.08 and 75
+        answer = closed_form(*config_deviator(clamped(clamp), "attacker"))
+        assert repr(answer) == repr(closed_form(*config_deviator(SMART_CONFIG, "attacker")))
+
+    def test_smarter_utility_evaluates_the_unclamped_cycle(self):
+        ctx, miner = config_deviator(clamped(1.1), "attacker")
+        unclamped = smart_utility(*config_deviator(SMART_CONFIG, "attacker"))
+        assert smarter_utility(ctx, miner, miner.m).hex() == unclamped.hex()
 
 
 class TestSweep:

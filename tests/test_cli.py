@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import smartmining
 from _scenarios import (
     ALWAYS_ON_CONFIG,
+    CLAMPED_BIG_CONFIG,
     HUGE_REWARD_CONFIG,
     HUGE_TAU_CONFIG,
     HUGE_TAU_SCHEDULE_CONFIG,
@@ -26,6 +27,8 @@ from _scenarios import (
     OVERFLOWING_CANDIDATE_CONFIG,
     OVERFLOWING_HYPOT_CONFIG,
     OVERFLOWING_TERM_CONFIG,
+    SMART_CONFIG,
+    clamped,
     moderate_market,
     scaled_market,
 )
@@ -33,16 +36,6 @@ from smartmining import engine, security
 from smartmining.cli import _load_scenario, main
 from smartmining.engine import run, trace_utilities
 from smartmining.security import security_report
-
-SMART_CONFIG = {
-    "coin": {"tau": 600.0, "epsilon": 0.0},
-    "reward": "calibrated",
-    "miners": [
-        {"id": "attacker", "m": 20.0, "fc": 0.03, "vc": 0.0085},
-        {"id": "rest", "m": 80.0, "fc": 0.0, "vc": 0.01},
-    ],
-    "schedules": [{"miner_id": "attacker", "powers": [0.0, 20.0]}],
-}
 
 # attack_trio's market: the attacker idles in even epochs and the bystander
 # in odd ones, the attacker's full epochs
@@ -493,6 +486,19 @@ class TestAnalyze:
         assert report["min_power_for_profit"] is None
         assert report["min_power_reason"] == "no power share suffices"
 
+    def test_underflowing_power_share_exits_2(self, tmp_path, capsys):
+        # a's share m/M = 1e-600 is positive but underflows to 0.0, where
+        # dominance could not be told; optimize needs no share and answers
+        doc = {"coin": {"tau": 1.0}, "miners": [{"id": "a", "m": 1e-300, "fc": 0.1, "vc": 0.1},
+                                                {"id": "b", "m": 1e300, "fc": 0.1, "vc": 1e-300}]}
+        cfg = _write_config(tmp_path, doc)
+        assert main(["analyze", cfg, "--miner", "a"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == ["power share m/M = 1e-300/1e+300 underflows to 0.0, yet m > 0"]
+        assert main(["optimize", cfg, "--miner", "a"]) == 0
+        assert json.loads(capsys.readouterr().out)["utility"] == -0.1
+
     def test_unknown_miner_exits_2(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, SMART_CONFIG)
         assert main(["analyze", cfg, "--miner", "ghost"]) == 2
@@ -825,21 +831,6 @@ class TestClampedSimulation:
             assert 1 / 1.1 - 1e-12 <= cur / prev <= 1.1 + 1e-12
 
 
-def _clamped(clamp):
-    doc = json.loads(json.dumps(SMART_CONFIG))
-    doc["coin"]["clamp"] = clamp
-    return doc
-
-
-# at clamp 1.2 a 4000-epoch simulate of big's [0, 40] pays it 0.02627, not the
-# unclamped 0.05059 that analyze would print
-CLAMPED_BIG_CONFIG = {
-    "coin": {"tau": 600.0, "epsilon": 0.01, "clamp": 1.2},
-    "miners": [{"id": "big", "m": 40.0, "fc": 0.05, "vc": 0.004}, {"id": "a", "m": 35.0, "fc": 0.0, "vc": 0.01},
-               {"id": "b", "m": 25.0, "fc": 0.02, "vc": 0.008}],
-}
-
-
 class TestClampedClosedForms:
     """``analyze`` and ``optimize`` price the unclamped idle/full cycle.  On
     SMART_CONFIG the attacker's full idle power is 20 and its tuned idle
@@ -847,9 +838,9 @@ class TestClampedClosedForms:
     c = 1.1, 16.67 at c = 1.2 and 23.08 at c = 1.3."""
 
     @pytest.mark.parametrize("doc,command,miner,delta", [
-        (_clamped(1.1), "analyze", "attacker", "20.0"),
-        (_clamped(1.2), "analyze", "attacker", "20.0"),
-        (_clamped(1.1), "optimize", "attacker", "13.27"),
+        (clamped(1.1), "analyze", "attacker", "20.0"),
+        (clamped(1.2), "analyze", "attacker", "20.0"),
+        (clamped(1.1), "optimize", "attacker", "13.27"),
         (CLAMPED_BIG_CONFIG, "analyze", "big", "40.0"),
     ])
     def test_binding_clamp_exits_2(self, tmp_path, capsys, doc, command, miner, delta):
@@ -866,13 +857,13 @@ class TestClampedClosedForms:
                                                ("optimize", 4.0)])
     def test_non_binding_clamp_prints_the_unclamped_bytes(self, tmp_path, capsys, command, clamp):
         outputs = []
-        for name, doc in (("clamped.json", _clamped(clamp)), ("unclamped.json", SMART_CONFIG)):
+        for name, doc in (("clamped.json", clamped(clamp)), ("unclamped.json", SMART_CONFIG)):
             assert main([command, _write_config(tmp_path, doc, name=name), "--miner", "attacker"]) == 0
             outputs.append(capsys.readouterr())
         assert outputs[0] == outputs[1]
 
     def test_analyze_agrees_with_the_tail_of_a_long_run(self, tmp_path, capsys):
-        cfg = _write_config(tmp_path, _clamped(1.3))
+        cfg = _write_config(tmp_path, clamped(1.3))
         assert main(["analyze", cfg, "--miner", "attacker"]) == 0
         reported = json.loads(capsys.readouterr().out)["smart_utility"]
         trace = run(*_load_scenario(cfg), 4000)
@@ -1156,12 +1147,25 @@ def _check_utilities_within_rates(out):
         assert min(rates) - slack <= u <= max(rates) + slack, (mid, u, min(rates), max(rates))
 
 
+# texts of Python's own arithmetic errors, and dominance's check of a power
+# share that the CLI computes itself: none of them names an input
+_UNNAMED_FAULTS = ("division by zero", "math range error", "math domain error", "power share must lie in (0, 1)")
+
+
+def _finite_number(token):
+    value = float(token)
+    assert math.isfinite(value), token
+    return value
+
+
 def _check_contract(doc, command, flags):
     """Run the CLI in this process on config ``doc``: a known exit code, no
     traceback, a JSON error document on stderr for a failure and nothing on
     stderr for a success, where a ``simulate`` writes utilities within its
     miners' rates.  A bare "float division by zero" names no input, so it may
-    not stand as an error."""
+    not stand as an error.  ``analyze`` and ``optimize`` print only finite
+    numbers on success, and no message of theirs holds a text of
+    ``_UNNAMED_FAULTS``."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg = os.path.join(tmp, "config.json")
         with open(cfg, "w", encoding="utf-8") as fh:
@@ -1176,11 +1180,17 @@ def _check_contract(doc, command, flags):
             _check_utilities_within_rates(os.path.join(tmp, "out"))
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in out.getvalue() + err.getvalue()
+    closed_form = command in ("analyze", "optimize")
     if code == 0:
         assert err.getvalue() == ""
+        if closed_form:
+            json.loads(out.getvalue(), parse_float=_finite_number,
+                       parse_constant=lambda token: pytest.fail(f"non-finite {token}"))
     else:
         errors = json.loads(err.getvalue())
         assert "float division by zero" not in errors, (doc, command, flags)
+        if closed_form:
+            assert not [e for e in errors for text in _UNNAMED_FAULTS if text in e], (doc, command, flags, errors)
 
 
 class TestCliContract:

@@ -9,10 +9,21 @@ from hypothesis import strategies as st
 
 from _exact import idle_candidates, idle_rate_scale, idle_utility
 from _exact import smart_utility as exact_smart_utility
-from _scenarios import OVERFLOWING_CANDIDATE_CONFIG, config_market, context_for, moderate_market, scaled_market
+from _scenarios import (
+    CLAMPED_BIG_CONFIG,
+    OVERFLOWING_CANDIDATE_CONFIG,
+    SMART_CONFIG,
+    clamped,
+    config_deviator,
+    config_market,
+    context_for,
+    moderate_market,
+    scaled_market,
+)
 from smartmining import (
     AggregateContext,
     CoinParams,
+    ConfigurationError,
     MinerParams,
     brute_force_idle,
     optimal_idle,
@@ -330,6 +341,46 @@ class TestExactRationals:
         assert (point.delta, point.utility) == (miner.m, float(exact[2])) == (1.0, -1e+293)
         assert point.utility == smart_utility(ctx, miner)
         assert point.roi == roi(point.utility, miner)
+
+
+def _bits(point):
+    return [v.hex() for v in point]
+
+
+class TestBindingClamp:
+    """``optimal_idle`` on a single market refuses a clamp that binds at its
+    winning idle power, with the message that ``optimize`` prints.  Its
+    candidates are compared unclamped, so a winner below the bind point
+    stands even where a candidate beyond it binds."""
+
+    def test_binding_winner_raises_the_cli_message(self):
+        # the winner 13.27 lies beyond clamp 1.1's bind point 9.09
+        with pytest.raises(ConfigurationError) as info:
+            optimal_idle(*config_deviator(clamped(1.1), "attacker"))
+        assert info.value.errors == [
+            "clamp 1.1 binds at idle power 13.27045983049322, beyond the bind point M*(1 - 1/clamp) = "
+            "9.090909090909093: the closed form assumes an unclamped retarget; use simulate instead"]
+
+    def test_a_winner_below_the_bind_point_stands(self):
+        # idling all of big's 40 binds beyond clamp 1.2's bind point 16.67,
+        # but honest mining wins, and its cycle has no retarget to clamp
+        ctx, miner = config_deviator(CLAMPED_BIG_CONFIG, "big")
+        with pytest.raises(ConfigurationError):
+            smart_utility(ctx, miner)
+        point = optimal_idle(ctx, miner)
+        assert point.delta == 0.0
+        assert _bits(point) == _bits(optimal_idle(ctx._replace(coin=ctx.coin._replace(clamp=None)), miner))
+
+    @pytest.mark.parametrize("clamp", [1.2, 4.0])
+    def test_non_binding_clamp_keeps_the_unclamped_bits(self, clamp):
+        # the winner 13.27 lies below the bind points 16.67 and 75
+        point = optimal_idle(*config_deviator(clamped(clamp), "attacker"))
+        assert _bits(point) == _bits(optimal_idle(*config_deviator(SMART_CONFIG, "attacker")))
+
+    def test_brute_force_idle_evaluates_the_unclamped_cycle(self):
+        ctx, miner = config_deviator(clamped(1.1), "attacker")
+        unclamped = brute_force_idle(*config_deviator(SMART_CONFIG, "attacker"), 1000)
+        assert _bits(brute_force_idle(ctx, miner, 1000)) == _bits(unclamped)
 
 
 class TestBruteForceIdle:
