@@ -140,11 +140,12 @@ def _cycle_utility(ctx, miner, delta):
     M, m = ctx.M, miner.m
     r0 = ctx.coin.w / (M * ctx.coin.tau)
     remaining = M - delta
-    lre_weight = remaining / M
-    hre_weight = M / remaining
+    # each epoch's duration over tau, named after epoch_table_smart's keys
+    t_hre = remaining / M
+    t_lre = M / remaining
     mhat = m - delta
-    num = m * r0 - miner.cost_rate * lre_weight + (r0 * mhat - miner.vc * mhat - miner.fc) * hre_weight
-    den = lre_weight + hre_weight
+    num = m * r0 - miner.cost_rate * t_hre + (r0 * mhat - miner.vc * mhat - miner.fc) * t_lre
+    den = t_hre + t_lre
     return num / den
 
 
@@ -212,8 +213,10 @@ def epoch_table_smart(ctx: AggregateContext, miner: MinerParams) -> dict[str, fl
     ``h_hre, t_hre, rph_hre, p_hre`` the full-power epoch retargeted down to
     (M - m)*tau.  The revenue-per-hash ratio rph_hre/rph_lre is M/(M - m).
     A workload (M - m)*tau that underflows to 0 is a domain error: its price
-    w/h_hre would divide by 0.  So is a clamp that binds on either retarget
-    (``_require_unclamped_cycle``), which raises ``ConfigurationError``.
+    w/h_hre would divide by 0.  So is a field that leaves float range, such
+    as rph_hre on a tiny M - m, and the ValueError names the first such key
+    in the order above.  A clamp that binds on either retarget
+    (``_require_unclamped_cycle``) raises ``ConfigurationError``.
     """
     M, m = ctx.M, miner.m
     _require_unclamped_cycle(ctx, m, m)
@@ -223,7 +226,7 @@ def epoch_table_smart(ctx: AggregateContext, miner: MinerParams) -> dict[str, fl
     if h_hre == 0:
         raise ValueError(f"(M - m)*tau = {M - m!r}*{tau!r} underflows: the boosted epoch workload must be > 0")
     rph_hre = w / h_hre
-    return {
+    table = {
         "h_lre": h_lre,
         "t_lre": h_lre / (M - m),
         "rph_lre": w / h_lre,
@@ -233,6 +236,10 @@ def epoch_table_smart(ctx: AggregateContext, miner: MinerParams) -> dict[str, fl
         "rph_hre": rph_hre,
         "p_hre": m * rph_hre - miner.cost_rate,
     }
+    for key, value in table.items():
+        if not math.isfinite(value):
+            raise ValueError(f"epoch table: {key} = {value!r} is not finite: the full-idle cycle leaves float range")
+    return table
 
 
 def _canonical(x: float, y: float) -> tuple[AggregateContext, MinerParams]:

@@ -6,9 +6,8 @@ exactly A_k * tau.  Every downstream quantity (revenue per hash, per-miner
 rates) is a pure function of the epoch's state, H_k and the active powers, so
 identical inputs reproduce bit-identical traces, and an epoch's record is a
 function of its state apart from its index k.  A miner's rates depend only
-on H and its own active power, so the simulation keeps one rule: among
-epochs whose phase k mod p recurs (p the lcm of the schedule periods), each
-(workload, miner, power bits) has one rates object.
+on H and its own active power, so the simulation keeps one rule: each
+(workload, miner, power bits) has one rates object, in a run of any length.
 """
 
 from __future__ import annotations
@@ -132,18 +131,17 @@ def _simulate(coin, miners, schedules, horizon: int):
     miner's capacity.  A step at a known workload gets its ``state``; one
     that takes ``step_epoch``'s full path gets the row's ``active`` instead.
 
-    Every epoch makes one ``step_epoch`` call, in order.  Among epochs whose
-    phase k mod p recurs within the horizon (p the lcm of the schedule
-    periods), each (workload, miner, power bits) has one rates object, and
-    each state, H and the entry names, one ``per_miner`` tuple.
+    Every epoch makes one ``step_epoch`` call, in order.  Each (workload,
+    miner, power bits) has one rates object, and each state, H and the entry
+    names, one ``per_miner`` tuple.
 
     The first state at a workload H takes ``step_epoch``'s full path and its
     rates, so an unseen H passes every check before its rates are built.  A
     later state at H starts from that tuple: a scheduled miner whose entry
     name differs from the first state's takes its rates from a memo by name
     and H, built on first use, and a state with the first state's names is
-    the first state again.  Only epochs whose phase recurs store their row,
-    their state and their rates.  A state is found by its row and its
+    the first state again.  Every row, state, rates object and first state
+    is stored when it is built.  A state is found by its row and its
     workload, and the first state at H by H alone, so no state has a key of
     its own.
     """
@@ -153,7 +151,6 @@ def _simulate(coin, miners, schedules, horizon: int):
     column = {p[0]: i for i, p in enumerate(miners)}
     scheduled = [(column[s.miner_id], miners[column[s.miner_id]]) for s in schedules]   # (position, miner)
     power = {x.hex(): x for s in schedules for x in s.powers}
-    p = math.lcm(*(s.period for s in schedules))
     # the entry names of epochs 1, 2, ...: StrategySchedule.power_at, inlined
     epoch_names = (zip(*(islice(cycle(map(float.hex, s.powers)), s.offset % s.period, None) for s in schedules))
                    if schedules else repeat(()))
@@ -163,13 +160,10 @@ def _simulate(coin, miners, schedules, horizon: int):
     # whose tuples, freed at the end, would keep arenas mapped
     memo = [{} for _ in schedules]
     for k, names in enumerate(islice(epoch_names, horizon), start=1):
-        recurs = k + p <= horizon
         row = rows.get(names)
         if row is None:   # A adds the scheduled powers and every other capacity in config order
             active = {s.miner_id: power[name] for s, name in zip(schedules, names)}
-            row = (ordered_sum(active.get(mid, m) for mid, m, _, _ in miners), active, {})
-            if recurs:
-                rows[names] = row
+            row = rows[names] = (ordered_sum(active.get(mid, m) for mid, m, _, _ in miners), active, {})
         A, active, states = row
         state = states.get(H)
         if state is None and (first := firsts.get(H)) is not None:
@@ -180,14 +174,11 @@ def _simulate(coin, miners, schedules, horizon: int):
             for (i, miner), by_name, name, first_name in zip(scheduled, memo, names, first_names):
                 if name != first_name:
                     by_H = by_name.setdefault(name, {})
-                    per[i] = by_H.get(H) or _rates(rph, (miner,), (power[name],))[0]
-                    if recurs:
-                        by_H[H] = per[i]
-            state = (per_miner if names == first_names else tuple(per), A)
-            if recurs:   # later epochs in this state then find it in one lookup
-                states[H] = state
+                    per[i] = by_H[H] = by_H.get(H) or _rates(rph, (miner,), (power[name],))[0]
+            # later epochs in this state then find it in one lookup
+            state = states[H] = (per_miner if names == first_names else tuple(per), A)
         record, H_next = step_epoch(k, H, active if state is None else None, coin, miners, state=state)
-        if state is None and recurs:   # the first state at H
+        if state is None:   # the first state at H
             firsts[H] = (names, record.per_miner)
         H = H_next
         yield record

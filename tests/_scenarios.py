@@ -182,6 +182,14 @@ OVERFLOWING_TERM_CONFIG = {
                {"id": "b", "m": 8.344874324054518e17, "fc": 7.999143634895547e20, "vc": 9903040876251708.0}],
 }
 
+# a finite baseline price, but the boosted epoch of miner "a" has (M - m)*tau = 1e-15,
+# so its price w/h_hre = 1e295/1e-15 overflows
+HUGE_BOOST_CONFIG = {
+    "coin": {"tau": 1.0},
+    "reward": 1e295,
+    "miners": [{"id": "a", "m": 1.0, "fc": 0.1, "vc": 0.1}, {"id": "b", "m": 1e-15, "fc": 0.1, "vc": 0.1}],
+}
+
 # optimal_idle's best candidate for miner a is delta = m, utility -1e+293,
 # yet its term fc*M/(M - m), about 4.5e308, overflows; the other two
 # candidates are about -2e+293

@@ -1,5 +1,6 @@
 
 import math
+import random
 import re
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from _exact import smart_utility as exact_smart_utility
 from _scenarios import (
     CLAMPED_BIG_CONFIG,
+    HUGE_BOOST_CONFIG,
     OVERFLOWING_TERM_CONFIG,
     SMART_CONFIG,
     alternation,
@@ -29,11 +31,12 @@ from smartmining import (
     min_power_for_profit,
     periodic_utility,
     roi,
+    run,
     smart_utility,
     smarter_utility,
     sweep,
 )
-from smartmining.analytic import MODE_SMART, MODE_SMARTER, _canonical
+from smartmining.analytic import MODE_SMART, MODE_SMARTER, _canonical, _require_unclamped_cycle
 from smartmining.optimizer import optimal_idle
 
 
@@ -295,6 +298,19 @@ class TestEpochTable:
             table["t_hre"] + table["t_lre"])
         assert avg == pytest.approx(smart_utility(ctx, miner), rel=1e-12)
 
+    @pytest.mark.parametrize("ctx,miner,field", [
+        # M - m = 1.1e-15: rph_hre = 1e295/1.1e-15 overflows, and p_hre after it
+        (*config_deviator(HUGE_BOOST_CONFIG, "a"), "rph_hre = inf"),
+        # M - m = 2**-52: the idle epoch lasts t_lre = 1e300/2**-52, beyond float range
+        (AggregateContext(M=1.0 + 2.0**-52, coin=CoinParams(tau=1e300, epsilon=0.0, w=1.0)),
+         MinerParams("a", 1.0, 0.1, 0.1), "t_lre = inf"),
+    ], ids=["rph_hre", "t_lre"])
+    def test_non_finite_field_is_refused_by_name(self, ctx, miner, field):
+        # the library refuses what analyze would otherwise fail to write as JSON
+        with pytest.raises(ValueError) as info:
+            epoch_table_smart(ctx, miner)
+        assert str(info.value) == f"epoch table: {field} is not finite: the full-idle cycle leaves float range"
+
 
 # the refusals that analyze prints for a clamp that binds at delta = m
 BINDS_AT_20 = ("clamp 1.1 binds at idle power 20.0, beyond the bind point M*(1 - 1/clamp) = 9.090909090909093: "
@@ -328,6 +344,29 @@ class TestBindingClamp:
         ctx, miner = config_deviator(clamped(1.1), "attacker")
         unclamped = smart_utility(*config_deviator(SMART_CONFIG, "attacker"))
         assert smarter_utility(ctx, miner, miner.m).hex() == unclamped.hex()
+
+    def test_refuses_exactly_where_the_engine_clamps(self):
+        # the engine is the oracle: powers on a 1/64 grid add exactly, so run's
+        # unclamped workloads H_2 = (M - delta)*tau and H_3 = M*tau have the
+        # bits the check computes, and it must refuse where the clamp moves
+        # either.  Half the clamps sit on a bind point M/(M - d) of the grid
+        rng, refused = random.Random(5), 0
+        for _ in range(3000):
+            m, rest = rng.randint(1, 6400) / 64, rng.randint(1, 6400) / 64
+            delta, M = rng.randint(0, int(m * 64)) / 64, m + rest
+            clamp = rng.choice([1.0 + 3.0 * rng.random(), M / (M - rng.randint(1, int(m * 64)) / 64)])
+            coin = CoinParams(tau=rng.uniform(0.5, 1000.0), epsilon=0.0, w=1.0, clamp=clamp)
+            miners = [MinerParams("dev", m, 0.1, 0.01), MinerParams("rest", rest, 0.1, 0.01)]
+            records = run(coin, miners, [alternation(miners[0], delta)], 3).records
+            clamps = records[1].H != (M - delta) * coin.tau or records[2].H != M * coin.tau
+            try:
+                _require_unclamped_cycle(context_for(coin, miners), m, delta)
+            except ConfigurationError:
+                refused += 1
+                assert clamps, (m, rest, delta, clamp)
+            else:
+                assert not clamps, (m, rest, delta, clamp)
+        assert 0 < refused < 3000
 
 
 class TestSweep:

@@ -20,6 +20,7 @@ import smartmining
 from _scenarios import (
     ALWAYS_ON_CONFIG,
     CLAMPED_BIG_CONFIG,
+    HUGE_BOOST_CONFIG,
     HUGE_REWARD_CONFIG,
     HUGE_TAU_CONFIG,
     HUGE_TAU_SCHEDULE_CONFIG,
@@ -225,13 +226,6 @@ LARGE_MARKET_CONFIG = {
     "coin": {"tau": 1e-300},
     "reward": 1.6,
     "miners": [{"id": "a", "m": 6e199, "fc": 1e300, "vc": 1e100}, {"id": "b", "m": 4e199, "fc": 0.0, "vc": 1e100}],
-}
-
-# a finite baseline price, but the boosted epoch of miner "a" has (M - m)*tau = 1e-15
-HUGE_BOOST_CONFIG = {
-    "coin": {"tau": 1.0},
-    "reward": 1e295,
-    "miners": [{"id": "a", "m": 1.0, "fc": 0.1, "vc": 0.1}, {"id": "b", "m": 1e-15, "fc": 0.1, "vc": 0.1}],
 }
 
 # the retarget after epoch 1 (a idle, only b's 1e-300 active) leaves H_2 = 1e-320,
@@ -963,7 +957,7 @@ BAD_INPUTS = {
     "boost-workload-underflow": (TINY_BOOST_CONFIG, ["analyze", "--miner", "a"],
                                  "underflows: the boosted epoch workload must be > 0"),
     "non-finite-result": (HUGE_BOOST_CONFIG, ["analyze", "--miner", "a"],
-                          ("not JSON compliant", "epoch_table.rph_hre")),
+                          "epoch table: rph_hre = inf is not finite: the full-idle cycle leaves float range"),
     "rate-overflow-simulate": (RATE_OVERFLOW_CONFIG, ["simulate", "--epochs", "2", "--out", "out"],
                                ("not JSON compliant", "utilities.a")),
     "infinite-price-simulate": (INFINITE_PRICE_CONFIG, ["simulate", "--epochs", "2", "--out", "out"],

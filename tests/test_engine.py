@@ -577,6 +577,17 @@ def _cycle_scenario(shares, offsets, idle_last):
     return CoinParams(tau=600.0, epsilon=0.001, w=700.0), miners, schedules, period
 
 
+def _many_always_on_miners():
+    """24 miners, 5 of them deviating with periods 2, 3, 4, 5 and 7, so the
+    common period is p = 420; returns (coin, miners, schedules)."""
+    miners = [MinerParams(f"m{i:02d}", 5.0 + 1.75 * i, 0.01 * (1 + i % 7), 0.001 * (1 + i % 5))
+              for i in range(24)]
+    schedules = [StrategySchedule(p.id, tuple(p.m * 0.25 if j == 0 else p.m * 0.6 if j == 2 else p.m
+                                              for j in range(n)), offset=n - 1)
+                 for p, n in zip(miners[::5], (2, 3, 4, 5, 7))]
+    return CoinParams(tau=600.0, epsilon=0.001, w=calibrate_reward(miners, 600.0, 0.001)), miners, schedules
+
+
 def _assert_one_rates_object_per_workload_and_power(records):
     """Records hold one ``MinerEpochStats`` object per workload, miner and
     active power, each compared by its bits."""
@@ -693,9 +704,7 @@ class TestSharedRates:
     @settings(max_examples=80, derandomize=True, deadline=None)
     def test_run_shares_rates_at_capacity_by_workload(self, powers_a, powers_b, offset, clamp, periods, extra):
         # every record of one H holds one rates object per miner and power:
-        # always-on c, a or b at capacity (a share of 1.0) and below it alike.
-        # Epochs whose phase does not recur within the horizon store nothing
-        # for later ones, so only the others are checked
+        # always-on c, a or b at capacity (a share of 1.0) and below it alike
         miners = _two_miners() + [MinerParams("c", 10.0, 0.02, 0.005)]
         schedules = [StrategySchedule("a", tuple(powers_a), offset=offset), StrategySchedule("b", tuple(powers_b))]
         coin = _coin(clamp=clamp)
@@ -704,7 +713,7 @@ class TestSharedRates:
         trace = run(coin, miners, schedules, horizon)
         expected = _plain_step_loop(coin, miners, schedules, horizon)
         assert [_bits(r) for r in trace.records] == [_bits(r) for r in expected]
-        _assert_one_rates_object_per_workload_and_power(trace.records[:horizon - period])
+        _assert_one_rates_object_per_workload_and_power(trace.records)
 
     @given(_CYCLE_SHARES, _CYCLE_OFFSETS, st.booleans())
     @settings(max_examples=80, derandomize=True, deadline=None)
@@ -753,8 +762,7 @@ class TestSharedRates:
 
     def test_always_on_config_shares_rates_by_workload_and_power(self, tmp_path):
         # m03 runs its capacity 9.5 in one phase and m07 -0.0 in another; over
-        # the epochs of the 3p stream whose phase recurs, each workload, miner
-        # and power has one rates object
+        # the 3p stream, each workload, miner and power has one rates object
         from smartmining.cli import _load_scenario
 
         config = tmp_path / "config.json"
@@ -764,19 +772,13 @@ class TestSharedRates:
         trace = run(coin, miners, schedules, 3 * p)
         expected = _plain_step_loop(coin, miners, schedules, 3 * p)
         assert [_bits(r) for r in trace.records] == [_bits(r) for r in expected]
-        _assert_one_rates_object_per_workload_and_power(trace.records[:2 * p])
+        _assert_one_rates_object_per_workload_and_power(trace.records)
 
     def test_steady_cycle_memory_with_many_always_on_miners(self):
-        # 24 miners, 5 of them deviating with periods 2, 3, 4, 5 and 7 (p = 420):
         # the cycle's 300 states fall on 80 workloads.  A rates object per
         # miner and state costs about 140 B per miner-epoch of the cycle; one
         # per workload, miner and power, about 61 B
-        miners = [MinerParams(f"m{i:02d}", 5.0 + 1.75 * i, 0.01 * (1 + i % 7), 0.001 * (1 + i % 5))
-                  for i in range(24)]
-        schedules = [StrategySchedule(p.id, tuple(p.m * 0.25 if j == 0 else p.m * 0.6 if j == 2 else p.m
-                                                  for j in range(n)), offset=n - 1)
-                     for p, n in zip(miners[::5], (2, 3, 4, 5, 7))]
-        coin = CoinParams(tau=600.0, epsilon=0.001, w=calibrate_reward(miners, 600.0, 0.001))
+        coin, miners, schedules = _many_always_on_miners()
         steady_cycle(coin, miners, schedules)
         tracemalloc.start()
         try:
@@ -786,6 +788,29 @@ class TestSharedRates:
             tracemalloc.stop()
         assert len(cycle) == 420
         assert peak < 100 * len(cycle) * len(miners)
+
+    def test_run_of_one_period_shares_states_and_rates(self):
+        # a run no longer than the common period p = 420 shares as much as a
+        # longer one: each of its states has one per_miner tuple and each
+        # workload, miner and power one rates object, about 52 B per
+        # miner-epoch; a rates object per miner and epoch costs about 180 B
+        coin, miners, schedules = _many_always_on_miners()
+        expected = _plain_step_loop(coin, miners, schedules, 420)
+        run(coin, miners, schedules, 420)
+        tracemalloc.start()
+        try:
+            records = run(coin, miners, schedules, 420).records
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [_bits(r) for r in records] == [_bits(r) for r in expected]
+        _assert_one_rates_object_per_workload_and_power(records)
+        states = {}
+        for rec in records:
+            state = (rec.H.hex(), tuple(s.active_power.hex() for s in rec.per_miner))
+            assert states.setdefault(state, rec.per_miner) is rec.per_miner
+        assert len({id(rec.per_miner) for rec in records}) == len(states) < 420
+        assert peak < 100 * len(records) * len(miners)
 
     def test_run_that_never_repeats_keeps_no_state_keys(self, tmp_path):
         # every epoch of this trace is a new state at a new workload: beyond
