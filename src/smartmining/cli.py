@@ -247,7 +247,7 @@ def _write_trace_csv(path, trace, miners) -> None:
             fh.write(f"{k},{text}\n")
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> None:
     if args.epochs < 1:
         raise ConfigurationError("--epochs must be >= 1")
     coin, miners, schedules = _load_scenario(args.config)
@@ -263,10 +263,9 @@ def _cmd_simulate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     _write_trace_csv(os.path.join(args.out, "trace.csv"), trace, miners)
     _write_text(os.path.join(args.out, "summary.json"), summary + "\n")
-    return EXIT_OK
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> dict:
     ctx, miner = _load_market(args.config, args.miner)
     x = miner.m / ctx.M
     if x == 0:
@@ -287,25 +286,23 @@ def _cmd_analyze(args) -> int:
     except ValueError:
         report["min_power_for_profit"] = None
         report["min_power_reason"] = "no power share suffices"
-    print(_json(report))
-    return EXIT_OK
+    return report
 
 
-def _cmd_optimize(args) -> int:
+def _cmd_optimize(args) -> dict:
     ctx, miner = _load_market(args.config, args.miner)
     point = optimal_idle(ctx, miner)
-    print(_json({
+    return {
         "miner": miner.id,
         "delta": point.delta,
         "delta_fraction": point.delta / miner.m,
         "utility": point.utility,
         "roi": point.roi,
         "schedule": StrategySchedule(miner.id, (miner.m - point.delta, miner.m))._asdict(),
-    }))
-    return EXIT_OK
+    }
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> None:
     if args.nx < 2 or args.ny < 2:
         raise ConfigurationError("--nx and --ny must be >= 2")
     # cell centers keep every grid point strictly inside (0, 1)
@@ -319,16 +316,14 @@ def _cmd_sweep(args) -> int:
         y_cell = f"{yv:.17g},%.17g\n"
         chunks.append("".join([x_cell + y_cell for x_cell in x_cells]) % tuple(row))
     _write_text(args.out, "".join(chunks))
-    return EXIT_OK
 
 
-def _cmd_security(args) -> int:
+def _cmd_security(args) -> dict:
     coin, miners, schedules = _load_scenario(args.config)
     doc = security_report(coin, miners, schedules, args.entrant)._asdict()
     if (eff := doc.pop("entry_effect")) is not None:
         doc["entry_effect"] = eff._asdict()
-    print(_json(doc))
-    return EXIT_OK
+    return doc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -382,7 +377,10 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        return args.handler(args)
+        # analyze, optimize and security return the report they print; simulate and sweep write files
+        if (report := args.handler(args)) is not None:
+            print(_json(report))
+        return EXIT_OK
     except StalledEpochError as exc:
         print(json.dumps({"error": "stalled epoch", "epoch": exc.epoch}), file=sys.stderr)
         return EXIT_MODEL

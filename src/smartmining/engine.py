@@ -120,30 +120,34 @@ def _simulate(coin, miners, schedules, horizon: int):
 
     Each schedule entry is named by ``float.hex`` of its power, so equal
     names are equal bits: -0.0 == 0.0, yet a -0.0 power has a name of its
-    own and writes its own ``mhat`` and ``R``.  One iterator gives each
-    epoch the names of its scheduled miners' entries, in schedule order, and
-    epochs with the same names share one row (A, active, states): ``active``
-    maps each scheduled miner to its power, A is the ``ordered_sum`` of the
-    full power row in config order, every other miner at capacity, and
-    ``states`` maps a workload H to the state (per_miner, A) at H.  A has the
-    bits of the floats ``step_epoch`` adds, in its order, and
-    ``validate_scenario`` has checked every schedule power against its
-    miner's capacity.  A step at a known workload gets its ``state``; one
-    that takes ``step_epoch``'s full path gets the row's ``active`` instead.
+    own and writes its own ``mhat`` and ``R``.  Every entry of one name is
+    given one float object, ``power[name]``.  One iterator gives each epoch
+    the names of its scheduled miners' entries, in schedule order, and
+    epochs with the same names share one row (A, states): A is the
+    ``ordered_sum`` of the full power row in config order, every other
+    miner at capacity, and ``states`` maps a workload H to the state
+    (per_miner, A) at H.  A has the bits of the floats ``step_epoch`` adds,
+    in its order, and ``validate_scenario`` has checked every schedule power
+    against its miner's capacity.  A step at a known workload gets its
+    ``state``; one that takes ``step_epoch``'s full path gets the map of
+    scheduled powers that the row's names give, built for that step.
 
     Every epoch makes one ``step_epoch`` call, in order.  Each (workload,
     miner, power bits) has one rates object, and each state, H and the entry
     names, one ``per_miner`` tuple.
 
     The first state at a workload H takes ``step_epoch``'s full path and its
-    rates, so an unseen H passes every check before its rates are built.  A
-    later state at H starts from that tuple: a scheduled miner whose entry
-    name differs from the first state's takes its rates from a memo by name
-    and H, built on first use, and a state with the first state's names is
-    the first state again.  Every row, state, rates object and first state
-    is stored when it is built.  A state is found by its row and its
-    workload, and the first state at H by H alone, so no state has a key of
-    its own.
+    rates, and its ``per_miner`` tuple is kept by H, so an unseen H passes
+    every check before its rates are built.  A later state at H starts from
+    that tuple.  Both the full path and ``_rates`` store a miner's active
+    power as the rates' ``active_power``, the same object, so a scheduled
+    miner whose rates there do not hold ``power[name]`` itself runs another
+    entry: it takes its rates from a memo by name and H, built on first
+    use, and the tuple is copied only then.  A state in which no miner
+    differs is the first state again.  Every row, state, rates object and
+    first state is stored when it is built.  A state is found by its row and
+    its workload, and the first state at H by H alone, so no state has a key
+    of its own.
     """
     H = total_power(miners) * coin.tau
     # exact tuples unpack on the interpreter's specialized path, which namedtuple field reads miss
@@ -154,8 +158,8 @@ def _simulate(coin, miners, schedules, horizon: int):
     # the entry names of epochs 1, 2, ...: StrategySchedule.power_at, inlined
     epoch_names = (zip(*(islice(cycle(map(float.hex, s.powers)), s.offset % s.period, None) for s in schedules))
                    if schedules else repeat(()))
-    rows = {}       # entry names -> their row (A, active, {H: (per_miner, A)})
-    firsts = {}     # H -> (names, per_miner) of the first state at workload H
+    rows = {}       # entry names -> their row (A, {H: (per_miner, A)})
+    firsts = {}     # H -> the per_miner tuple of the first state at workload H
     # per scheduled miner: entry name -> {H: its rates}; no (H, name) keys,
     # whose tuples, freed at the end, would keep arenas mapped
     memo = [{} for _ in schedules]
@@ -163,23 +167,26 @@ def _simulate(coin, miners, schedules, horizon: int):
         row = rows.get(names)
         if row is None:   # A adds the scheduled powers and every other capacity in config order
             active = {s.miner_id: power[name] for s, name in zip(schedules, names)}
-            row = rows[names] = (ordered_sum(active.get(mid, m) for mid, m, _, _ in miners), active, {})
-        A, active, states = row
+            row = rows[names] = (ordered_sum(active.get(mid, m) for mid, m, _, _ in miners), {})
+        A, states = row
         state = states.get(H)
-        if state is None and (first := firsts.get(H)) is not None:
-            # a state at a known H: only scheduled miners can differ from its first state;
-            # step_epoch's own rph, as this H passed its checks in its first state
-            first_names, per_miner = first
-            rph, per = coin.w / H, list(per_miner)
-            for (i, miner), by_name, name, first_name in zip(scheduled, memo, names, first_names):
-                if name != first_name:
+        if state is None and (per_miner := firsts.get(H)) is not None:
+            # a state at a known H: only scheduled miners can differ from its first state, and a
+            # miner differs where its rates carry another entry's float; step_epoch's own rph, as
+            # this H passed its checks in its first state
+            rph, per = coin.w / H, None
+            for (i, miner), by_name, name in zip(scheduled, memo, names):
+                if per_miner[i].active_power is not power[name]:
+                    per = per or list(per_miner)
                     by_H = by_name.setdefault(name, {})
                     per[i] = by_H[H] = by_H.get(H) or _rates(rph, (miner,), (power[name],))[0]
             # later epochs in this state then find it in one lookup
-            state = states[H] = (per_miner if names == first_names else tuple(per), A)
+            state = states[H] = (per_miner if per is None else tuple(per), A)
+        if state is None:   # the first state at H takes step_epoch's full path
+            active = {s.miner_id: power[name] for s, name in zip(schedules, names)}
         record, H_next = step_epoch(k, H, active if state is None else None, coin, miners, state=state)
-        if state is None:   # the first state at H
-            firsts[H] = (names, record.per_miner)
+        if state is None:
+            firsts[H] = record.per_miner
         H = H_next
         yield record
 

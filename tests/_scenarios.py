@@ -3,9 +3,10 @@
 The builders construct markets in the balanced-margin state: every miner's
 cost-plus-margin rate is proportional to its hash power, so at full
 participation each miner earns exactly the margin epsilon.  This is the state
-all deviation closed forms are derived against.  ``NO_REPEAT_CONFIG`` and
-``ALWAYS_ON_CONFIG`` are scenario config documents, shared with the CI step
-that compares outputs across Python versions, and ``SMART_CONFIG``,
+all deviation closed forms are derived against.  ``NO_REPEAT_CONFIG``,
+``DISTINCT_POWERS_CONFIG`` and ``ALWAYS_ON_CONFIG`` are scenario config
+documents, shared with CI steps such as the one that compares outputs
+across Python versions, and ``SMART_CONFIG``,
 ``clamped`` and ``CLAMPED_BIG_CONFIG`` are the CLI's reference configs.
 """
 
@@ -144,6 +145,16 @@ NO_REPEAT_CONFIG = {
     "miners": [{"id": f"m{i:02d}", "m": 2.0 + 3.5 * i, "fc": 0.01 * (i + 1), "vc": 0.001 * (i + 1)}
                for i in range(15)] + [{"id": "big", "m": 1e6, "fc": 0.1, "vc": 0.005}],
     "schedules": [{"miner_id": "big", "powers": [0.0]}],
+}
+
+
+# one of three miners on 5,000 distinct powers: in a run of up to 5,000
+# epochs no two epochs run the same entry, so each has a row of its own
+DISTINCT_POWERS_CONFIG = {
+    "coin": {"tau": 600.0},
+    "reward": "calibrated",
+    "miners": [{"id": f"m{i}", "m": 10.0, "fc": 0.01, "vc": 0.001} for i in range(3)],
+    "schedules": [{"miner_id": "m0", "powers": [1.0 + j / 1000 for j in range(5000)]}],
 }
 
 

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _scenarios import (ALWAYS_ON_CONFIG, NO_REPEAT_CONFIG, alternation, context_for, proportional_scenario,
-                        scaled_market)
+from _scenarios import (ALWAYS_ON_CONFIG, DISTINCT_POWERS_CONFIG, NO_REPEAT_CONFIG, alternation, context_for,
+                        proportional_scenario, scaled_market)
 from smartmining import engine
 from smartmining import (
     CoinParams,
@@ -625,6 +625,25 @@ class TestTotalActive:
         assert rec.total_active == 1.0
 
 
+def _run_transient(tmp_path, doc, horizon):
+    """The records of a ``horizon``-epoch run of config document ``doc``, and
+    the memory the run held while it stepped and freed when it returned:
+    tracemalloc's peak minus what it holds beside the records."""
+    from smartmining.cli import _load_scenario
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    coin, miners, schedules = _load_scenario(config)
+    run(coin, miners, schedules, 10)
+    tracemalloc.start()
+    try:
+        trace = run(coin, miners, schedules, horizon)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return trace.records, peak - held
+
+
 class TestSharedRates:
     @given(
         powers_a=st.lists(_SHARE_POWERS.map(lambda f: 60.0 * f), min_size=1, max_size=4),
@@ -815,22 +834,25 @@ class TestSharedRates:
     def test_run_that_never_repeats_keeps_no_state_keys(self, tmp_path):
         # every epoch of this trace is a new state at a new workload: beyond
         # the records it returns, run holds one dict slot per epoch, keyed by
-        # the record's own H (about 40 B); a key of its own per state, such as
-        # a tuple of H and the entry names, would bring it to about 86 B
-        from smartmining.cli import _load_scenario
+        # the record's own H (about 30 B); a key of its own per state, such as
+        # a tuple of H and the entry names, would bring it to about 86 B.
+        # CPython reuses up to 2,000 freed tuples of each small size without
+        # allocating, out of tracemalloc's sight, so at 2,000 epochs a pair
+        # kept per epoch, such as the entry names beside the first state's
+        # per_miner tuple, read 38 B; at 5,000 epochs it reads 92 B
+        records, transient = _run_transient(tmp_path, NO_REPEAT_CONFIG, 5000)
+        assert len({r.H for r in records}) == 5000
+        assert transient < 64 * 5000
 
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps(NO_REPEAT_CONFIG), encoding="utf-8")
-        coin, miners, schedules = _load_scenario(config)
-        run(coin, miners, schedules, 10)
-        tracemalloc.start()
-        try:
-            trace = run(coin, miners, schedules, 2000)
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len({r.H for r in trace.records}) == 2000
-        assert peak - held < 64 * 2000
+    def test_run_whose_entries_never_repeat_keeps_no_copy_per_row(self, tmp_path):
+        # each of 4,000 epochs runs an entry of its own at a new workload, so
+        # each has a row, kept for the whole run, and a first state: about
+        # 400 B per epoch beyond the records.  A row that also held the map of
+        # scheduled powers its names give, and a first state kept beside its
+        # names, brought it to about 620 B
+        records, transient = _run_transient(tmp_path, DISTINCT_POWERS_CONFIG, 4000)
+        assert len({r.total_active for r in records}) == len({r.H for r in records}) == 4000
+        assert transient < 500 * 4000
 
     @given(_CYCLE_SHARES, _CYCLE_OFFSETS, st.booleans())
     @settings(max_examples=80, derandomize=True, deadline=None)
