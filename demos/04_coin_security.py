@@ -10,8 +10,6 @@ Three effects, all on a 100-power market with a 20-power deviator:
      further, squeezing whoever still mines there.
 """
 
-import numpy as np
-
 from smartmining import (
     CoinParams,
     MinerParams,
@@ -47,8 +45,8 @@ print(f"  attack threshold:           {report.attack_threshold:.0%} (41% suffice
 
 print("\n=== 2. bystanders profit from the deviation ===")
 print(f"{'deviator idle':>14} {'bystander gain/t':>17}")
-for delta in np.linspace(0.0, deviator.m, 6):
-    gain = security_report(coin, miners, [idle_schedule(float(delta))]).per_miner_gain["bystander"]
+for delta in [deviator.m * i / 5 for i in range(6)]:
+    gain = security_report(coin, miners, [idle_schedule(delta)]).per_miner_gain["bystander"]
     print(f"{delta:>14.1f} {gain:>17.6f}")
 print("the 10-power bystander earns strictly above its margin whenever the")
 print("deviator idles anything, so it has no incentive to push back")

@@ -354,7 +354,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--miner", required=True, help="miner id to analyze")
     p.set_defaults(handler=_cmd_analyze)
 
-    p = sub.add_parser("optimize", help="profit-maximizing idle power for one miner (JSON on stdout)")
+    p = sub.add_parser("optimize", help="best idle power delta of the two-epoch alternation (m - delta, m) "
+                                        "for one miner (JSON on stdout)")
     p.add_argument("config", help="scenario config (JSON)")
     p.add_argument("--miner", required=True, help="miner id to optimize")
     p.set_defaults(handler=_cmd_optimize)

@@ -10,7 +10,10 @@ from .model import MinerParams
 # numpy loads inside the functions, as in analytic: the package and the CLI
 # import this module on every start, and only sweep and optimize need arrays
 
-# brute-force evaluation block; sized to keep the working set inside the cache
+# brute-force evaluation block: it bounds a scan's memory per block, 1 MB per
+# temporary array, at any resolution.  perfbench's heatmap oracle scans one
+# block of 100,001 points, and its memory sets that workload's peak_rss_mb,
+# so a smaller block would change that metric
 _CHUNK = 131072
 
 

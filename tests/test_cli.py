@@ -1072,6 +1072,16 @@ class TestInputBoundary:
             assert exc.value.code == 0
         capsys.readouterr()
 
+    def test_help_names_the_strategy_space_of_optimize(self, capsys):
+        # optimal_idle searches the two-epoch alternation only, and a constant
+        # cutback can earn more (tests/test_optimizer.py), so the help claims
+        # no overall maximum
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert "optimize best idle power delta of the two-epoch alternation (m - delta, m) for one miner" in out
+        assert "maximiz" not in out
+
 
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),

@@ -966,6 +966,21 @@ class TestTraceUtilities:
         assert [(mid, u.hex()) for mid, u in engine._rescaled_utilities(records).items()] == \
             [(mid, u.hex()) for mid, u in trace_utilities(records).items()]
 
+    def test_streams_its_records(self, tmp_path):
+        # one pass with one running sum per miner holds about 0.2 B per record
+        # while it adds, here 5,000 records of 16 miners; reading the records
+        # into per-miner columns first held tens to hundreds of bytes per record
+        records, _ = _run_transient(tmp_path, NO_REPEAT_CONFIG, 5000)
+        trace_utilities(records[:10])
+        tracemalloc.start()
+        try:
+            utilities = trace_utilities(records)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 5000 and len(utilities) == 16
+        assert peak - held < 8 * 5000
+
     def test_no_records_give_no_utilities(self):
         assert trace_utilities([]) == {}
         assert trace_utilities(()) == {}

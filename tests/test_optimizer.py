@@ -13,11 +13,13 @@ from _scenarios import (
     CLAMPED_BIG_CONFIG,
     OVERFLOWING_CANDIDATE_CONFIG,
     SMART_CONFIG,
+    alternation,
     clamped,
     config_deviator,
     config_market,
     context_for,
     moderate_market,
+    proportional_scenario,
     scaled_market,
 )
 from smartmining import (
@@ -25,8 +27,10 @@ from smartmining import (
     CoinParams,
     ConfigurationError,
     MinerParams,
+    StrategySchedule,
     brute_force_idle,
     optimal_idle,
+    periodic_utility,
     roi,
     smart_utility,
     smarter_utility,
@@ -285,6 +289,23 @@ class TestOptimalIdle:
                 assert smart_utility(big_ctx, big_miner).hex() == math.ldexp(smart_utility(ctx, miner), b).hex()
                 endpoints["zero" if base.delta == 0 else "m" if base.delta == miner.m else "interior"] += 1
         assert min(endpoints.values()) >= 50, endpoints
+
+
+class TestStrategySpace:
+    def test_a_constant_cutback_beats_the_best_alternation(self):
+        # optimal_idle searches the two-epoch alternation (m - delta, m) only.
+        # Idling a constant 0.113625 every epoch, output restriction that the
+        # retarget rewards with a higher revenue per hash, earns 21.6% more
+        # here; ROADMAP.md item 23 adds that cutback and must flip this test
+        coin, miners = proportional_scenario(0.45, 0.3)
+        deviator = miners[0]
+        point = optimal_idle(context_for(coin, miners), deviator)
+        assert (round(point.delta, 5), round(point.utility, 6)) == (0.18020, 0.016503)
+        assert periodic_utility(coin, miners, [alternation(deviator, point.delta)])["deviator"] == \
+            pytest.approx(point.utility, rel=1e-12)
+        cutback = periodic_utility(coin, miners, [StrategySchedule("deviator", (deviator.m - 0.113625,))])
+        assert round(cutback["deviator"], 6) == 0.020073
+        assert cutback["deviator"] > 1.2 * point.utility
 
 
 class TestExactRationals:
