@@ -25,7 +25,8 @@ import math
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, NamedTuple
 
-from .model import CoinParams, ConfigurationError, MinerParams, _finite, _require, _validating_make, _workload_error
+from .model import (CoinParams, ConfigurationError, MinerParams, _finite, _require, _retarget, _validating_make,
+                    _workload_error)
 
 # numpy loads inside the array functions (smarter_utility, sweep), so that the
 # scalar closed forms and the CLI commands that build no array start without it
@@ -90,11 +91,13 @@ def _require_unclamped_cycle(ctx, m, delta) -> None:
     the coin's clamp binds on either retarget of the cycle, the idle epoch's
     drop from M*tau to (M - delta)*tau or the full epoch's rise back.  The
     closed forms assume the unclamped retarget, so their numbers would be
-    wrong there."""
-    M, tau, c = ctx.M, ctx.coin.tau, ctx.coin.clamp
+    wrong there.  The clamp binds where ``model._retarget``, the rule the
+    engine steps by, moves either workload from its unclamped value."""
+    M, coin, c = ctx.M, ctx.coin, ctx.coin.clamp
     if not 0 < m < M:
         raise ValueError(f"deviating power must satisfy 0 < m < M, got m={m}, M={M}")
-    if c is not None and ((M - delta) * tau < M * tau / c or M * tau > (M - delta) * tau * c):
+    full, reduced = M * coin.tau, (M - delta) * coin.tau
+    if _retarget(coin, full, M - delta) != reduced or _retarget(coin, reduced, M) != full:
         raise ConfigurationError(
             f"clamp {c!r} binds at idle power {delta!r}, beyond the bind point M*(1 - 1/clamp) = "
             f"{M * (1 - 1 / c)!r}: the closed form assumes an unclamped retarget; use simulate instead")

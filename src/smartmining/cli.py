@@ -56,6 +56,9 @@ EXIT_CONFIG = 2
 EXIT_MODEL = 3
 EXIT_IO = 4
 
+# most cells that the sweep command evaluates and formats before writing them
+_SWEEP_BLOCK_CELLS = 2**16
+
 
 def _number(value):
     """A JSON number other than a bool as a float; other values pass unchanged."""
@@ -303,19 +306,29 @@ def _cmd_optimize(args) -> dict:
 
 
 def _cmd_sweep(args) -> None:
+    """Evaluate and write the grid in blocks of whole rows, each at most
+    ``_SWEEP_BLOCK_CELLS`` cells but at least one row, so memory does not grow
+    with the row count.  Every cell gets the float operations of one
+    whole-grid ``sweep`` call, so the bytes do not depend on the block size,
+    and a grid of at most that many cells is one ``sweep`` call and one
+    write."""
     if args.nx < 2 or args.ny < 2:
         raise ConfigurationError("--nx and --ny must be >= 2")
     # cell centers keep every grid point strictly inside (0, 1)
     xs = [(j + 0.5) / args.nx for j in range(args.nx)]
     ys = [(i + 0.5) / args.ny for i in range(args.ny)]
-    matrix = sweep(xs, ys, args.mode)
     x_cells = [f"{xv:.17g}," for xv in xs]
-    chunks = ["x,y,roi\n"]
-    for yv, row in zip(ys, matrix.tolist()):
-        # one line per x cell, its roi slot formatted as f"{r:.17g}" would
-        y_cell = f"{yv:.17g},%.17g\n"
-        chunks.append("".join([x_cell + y_cell for x_cell in x_cells]) % tuple(row))
-    _write_text(args.out, "".join(chunks))
+    rows_per_block = max(1, _SWEEP_BLOCK_CELLS // args.nx)
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        fh.write("x,y,roi\n")
+        for start in range(0, args.ny, rows_per_block):
+            block = ys[start:start + rows_per_block]
+            chunks = []
+            for yv, row in zip(block, sweep(xs, block, args.mode).tolist()):
+                # one line per x cell, its roi slot formatted as f"{r:.17g}" would
+                y_cell = f"{yv:.17g},%.17g\n"
+                chunks.append("".join([x_cell + y_cell for x_cell in x_cells]) % tuple(row))
+            fh.write("".join(chunks))
 
 
 def _cmd_security(args) -> dict:

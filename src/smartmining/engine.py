@@ -2,12 +2,14 @@
 
 Epoch k requires H_k hashes; with total active power A_k it lasts
 t_k = H_k / A_k, and the retarget sets H_{k+1} = (H_k / t_k) * tau, which is
-exactly A_k * tau.  Every downstream quantity (revenue per hash, per-miner
-rates) is a pure function of the epoch's state, H_k and the active powers, so
-identical inputs reproduce bit-identical traces, and an epoch's record is a
-function of its state apart from its index k.  A miner's rates depend only
-on H and its own active power, so the simulation keeps one rule: each
-(workload, miner, power bits) has one rates object, in a run of any length.
+exactly A_k * tau, clamped when the coin has a clamp: ``model._retarget``,
+the one retarget rule of the package.  Every downstream quantity (revenue
+per hash, per-miner rates) is a pure function of the epoch's state, H_k and
+the active powers, so identical inputs reproduce bit-identical traces, and
+an epoch's record is a function of its state apart from its index k.  A
+miner's rates depend only on H and its own active power, so the simulation
+keeps one rule: each (workload, miner, power bits) has one rates object, in
+a run of any length.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .model import (
     SimulationTrace,
     StalledEpochError,
     _require,
+    _retarget,
     ordered_sum,
     total_power,
     validate_scenario,
@@ -51,7 +54,8 @@ def step_epoch(k: int, H: float, active, coin, miners, *, state=None) -> tuple[E
     ``miners`` holds (id, m, fc, vc) records, such as ``MinerParams``, read
     by position; ``active`` maps miner id to this epoch's active power, and
     miners absent from the map mine at full capacity.  The next workload is
-    A*tau, clamped to [H/clamp, H*clamp] when the coin defines a clamp.
+    ``model._retarget(coin, H, A)``: A*tau, clamped to [H/clamp, H*clamp]
+    when the coin defines a clamp.
 
     One pass over ``miners`` reads and range-checks each active power, so an
     active power outside [0, m] raises ValueError naming the first such miner
@@ -103,10 +107,7 @@ def step_epoch(k: int, H: float, active, coin, miners, *, state=None) -> tuple[E
         raise ValueError(f"epoch {k}: revenue per hash w/H = {coin.w!r}/{H!r} overflows: the workload is too small")
     if state is None:
         per_miner = tuple(_rates(rph, miners, powers))
-    H_next = A * coin.tau
-    if coin.clamp is not None:
-        H_next = min(max(H_next, H / coin.clamp), H * coin.clamp)
-    return tuple.__new__(EpochRecord, (k, H, t, rph, per_miner, A)), H_next
+    return tuple.__new__(EpochRecord, (k, H, t, rph, per_miner, A)), _retarget(coin, H, A)
 
 
 def _check_scenario(coin, miners, schedules) -> None:

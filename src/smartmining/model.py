@@ -61,6 +61,18 @@ def _workload_error(M: float, coin) -> str | None:
     return None
 
 
+def _retarget(coin, H: float, A: float) -> float:
+    """The workload that follows an epoch of workload ``H`` and total active
+    power ``A``: A*tau, clamped to [H/clamp, H*clamp] when the coin has a
+    clamp.  The one place the retarget rule is written: the engine steps by
+    it, the closed forms check their cycle against it, and the entry effect
+    prices post-entry epochs with it."""
+    H_next = A * coin.tau
+    if coin.clamp is not None:
+        H_next = min(max(H_next, H / coin.clamp), H * coin.clamp)
+    return H_next
+
+
 # Input types subclass a plain NamedTuple and validate in __new__, which
 # typing.NamedTuple refuses in its own class body; _make goes through the
 # class, so that _replace validates too.

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .engine import steady_cycle, trace_utilities
-from .model import ConfigurationError, _finite, _workload_error, total_power
+from .model import ConfigurationError, _finite, _retarget, _workload_error, total_power
 
 
 class EntryEffect(NamedTuple):
@@ -71,13 +71,15 @@ def security_report(coin, miners, schedules, entrant_power=None) -> AttackReport
 
     Given ``entrant_power`` e, ``entry_effect`` holds reduced-epoch revenue
     per hash before and after e joins only the cycle's high-revenue
-    positions.  Unclamped, H_j = tau*A_{j-1} over the cycle's total active
-    powers A (index -1 wraps to the last position).  The entrant makes
-    A'_j = A_j + e wherever revenue per hash is maximal and A'_j = A_j
-    elsewhere, so after entry rph'_j = w/(A'_{j-1}*tau): the simulation's own
-    float operations, bit for bit.  Revenue per hash in the reduced epoch
-    drops by A_hre/(A_hre + e) while its active power stays unchanged; the
-    entrant's costs never enter.  Both checks of e run before the cycle is
+    positions.  The workload H_j at position j is the retarget
+    ``model._retarget`` from position j - 1 (index -1 wraps to the last
+    position), unclamped tau*A_{j-1} over the cycle's total active powers A.
+    The entrant makes A'_j = A_j + e wherever revenue per hash is maximal
+    and A'_j = A_j elsewhere, so after entry rph'_j is w over that retarget
+    from H_{j-1} at A'_{j-1}: the simulation's own rule and float
+    operations, bit for bit.  Revenue per hash in the reduced epoch drops by
+    A_hre/(A_hre + e) while its active power stays unchanged; the entrant's
+    costs never enter.  Both checks of e run before the cycle is
     simulated.
     """
     M = total_power(miners)
@@ -97,14 +99,14 @@ def security_report(coin, miners, schedules, entrant_power=None) -> AttackReport
         lre = actives.index(lre_active)
         hre = rphs.index(max(rphs))
         after = [a + entrant_power if r == rphs[hre] else a for a, r in zip(actives, rphs)]
-        rph_lre_after = coin.w / (after[lre - 1] * coin.tau)
+        rph_lre_after = coin.w / _retarget(coin, cycle[lre - 1].H, after[lre - 1])
         effect = EntryEffect(
             entrant_power=entrant_power,
             rph_lre_before=rphs[lre],
             rph_lre_after=rph_lre_after,
             rph_lre_ratio=rph_lre_after / rphs[lre],
             rph_hre_before=rphs[hre],
-            rph_hre_after=coin.w / (after[hre - 1] * coin.tau),
+            rph_hre_after=coin.w / _retarget(coin, cycle[hre - 1].H, after[hre - 1]),
             lre_active_before=actives[lre],
             lre_active_after=after[lre],
         )

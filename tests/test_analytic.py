@@ -368,6 +368,38 @@ class TestBindingClamp:
                 assert not clamps, (m, rest, delta, clamp)
         assert 0 < refused < 3000
 
+    def test_refuses_exactly_where_the_bind_inequality_did(self):
+        # the check before it asked model._retarget: the idle epoch's drop
+        # below M*tau/c or the full epoch's rise above (M - delta)*tau*c.
+        # Markets span the float range, so (M - delta)*tau underflows to 0,
+        # or to a subnormal that the clamp moves, in some draws
+        rng, refused, valid = random.Random(38), 0, 0
+        for _ in range(20000):
+            M = math.ldexp(rng.uniform(0.5, 1.0), rng.randint(-1020, 1020))
+            # the exponent of M*tau lies in [-1070, 1020] where tau's own fits
+            tau = math.ldexp(rng.uniform(0.5, 1.0), min(1023, rng.randint(-1070, 1020) - math.frexp(M)[1]))
+            clamp = rng.choice([None, 1.0 + 2.0**-52, 1.2, 4.0])
+            m = M * rng.choice([rng.random(), 1.0 - 2.0**-rng.randint(1, 53)])
+            if not 0 < m < M:
+                continue
+            delta = rng.choice([0.0, m, m * rng.random(), M * (1 - 1 / (clamp or 2.0))])
+            delta = min(delta, m)
+            try:
+                ctx = AggregateContext(M=M, coin=CoinParams(tau=tau, epsilon=0.0, w=M * tau, clamp=clamp))
+            except ValueError:   # M*tau leaves float range
+                continue
+            valid += 1
+            binds = clamp is not None and ((M - delta) * tau < M * tau / clamp
+                                           or M * tau > (M - delta) * tau * clamp)
+            try:
+                _require_unclamped_cycle(ctx, m, delta)
+            except ConfigurationError:
+                refused += 1
+                assert binds, (M, tau, clamp, m, delta)
+            else:
+                assert not binds, (M, tau, clamp, m, delta)
+        assert 0 < refused < valid
+
 
 class TestSweep:
     def test_smart_sign_matches_dominance(self):

@@ -33,7 +33,8 @@ from _scenarios import (
     moderate_market,
     scaled_market,
 )
-from smartmining import engine, security
+from smartmining import cli, engine, security
+from smartmining.analytic import sweep
 from smartmining.cli import _load_scenario, main
 from smartmining.engine import run, trace_utilities
 from smartmining.security import security_report
@@ -614,6 +615,42 @@ class TestSweep:
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--mode", mode, "--nx", "50", "--ny", "50", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_50_SHA256[mode]
+
+    @pytest.mark.parametrize("mode", list(SWEEP_50_SHA256))
+    def test_blocks_write_the_bytes_of_one_block(self, tmp_path, monkeypatch, mode):
+        # 2,000-cell blocks split the 50 rows into blocks of 40 and 10 rows
+        calls = []
+
+        def counted(xs, ys, mode):
+            calls.append(len(ys))
+            return sweep(xs, ys, mode)
+
+        monkeypatch.setattr(cli, "sweep", counted)
+        one, blocks = tmp_path / "one.csv", tmp_path / "blocks.csv"
+        assert main(["sweep", "--mode", mode, "--nx", "50", "--ny", "50", "--out", str(one)]) == 0
+        monkeypatch.setattr(cli, "_SWEEP_BLOCK_CELLS", 2000)
+        assert main(["sweep", "--mode", mode, "--nx", "50", "--ny", "50", "--out", str(blocks)]) == 0
+        assert calls == [50, 40, 10]
+        assert blocks.read_bytes() == one.read_bytes()
+        assert hashlib.sha256(blocks.read_bytes()).hexdigest() == SWEEP_50_SHA256[mode]
+
+    def test_memory_does_not_grow_with_the_rows(self, tmp_path, monkeypatch):
+        # one block's arrays and text are the peak: 16 times the rows in
+        # 2,000-cell blocks stay within 1.5 times the peak of one block
+        import tracemalloc
+
+        monkeypatch.setattr(cli, "_SWEEP_BLOCK_CELLS", 2000)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--mode", "smart", "--nx", "2", "--ny", "2", "--out", str(out)]) == 0   # loads numpy
+        peaks = []
+        for ny in ("50", "800"):
+            tracemalloc.start()
+            try:
+                assert main(["sweep", "--mode", "smart", "--nx", "200", "--ny", ny, "--out", str(out)]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0], peaks
 
     def test_single_cell_axis_exits_2(self, tmp_path, capsys):
         assert main(["sweep", "--mode", "smart", "--nx", "1", "--ny", "10",
@@ -1324,11 +1361,13 @@ class TestFreshProcess:
         import resource
 
         def cap_address_space():
-            resource.setrlimit(resource.RLIMIT_AS, (2 * 1024 ** 3, 2 * 1024 ** 3))
+            resource.setrlimit(resource.RLIMIT_AS, (512 * 1024 ** 2, 512 * 1024 ** 2))
 
         out = tmp_path / "x.csv"
-        # the 1e10-cell grid needs 74.5 GiB per array
-        result = _child(["-m", "smartmining.cli", "sweep", "--mode", "smart", "--nx", "100000", "--ny", "100000",
+        # sweep holds one block of rows at a time but every y value: 1e10 of
+        # them need 320 GB as a list of floats, which it builds before opening
+        # the output
+        result = _child(["-m", "smartmining.cli", "sweep", "--mode", "smart", "--nx", "2", "--ny", "10000000000",
                          "--out", str(out)], preexec_fn=cap_address_space, timeout=60)
         assert result.returncode == 2
         assert "Traceback" not in result.stderr

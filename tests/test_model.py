@@ -1,3 +1,6 @@
+import math
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +24,7 @@ from smartmining import (
     total_power,
     validate_scenario,
 )
-from smartmining.model import ordered_sum
+from smartmining.model import _retarget, ordered_sum
 
 # result types are named tuples; the CLI's CSV columns and JSON keys follow their field order
 _RESULT_FIELDS = {
@@ -95,6 +98,48 @@ class TestCoinParams:
         kwargs = {"tau": 600.0, "epsilon": 0.0, "w": 600.0, field: 10 ** 400}
         with pytest.raises(ValueError, match="finite"):
             CoinParams(**kwargs)
+
+
+# the clamps of the retarget draws: none, the smallest ratio > 1, the trace-sim
+# clamp and Bitcoin's 4x
+_DRAWN_CLAMPS = (None, 1.0 + 2.0**-52, 1.2, 4.0)
+
+
+def _inline_retarget(coin, H, A):
+    """The retarget as step_epoch wrote it before ``model._retarget`` held it."""
+    H_next = A * coin.tau
+    if coin.clamp is not None:
+        H_next = min(max(H_next, H / coin.clamp), H * coin.clamp)
+    return H_next
+
+
+class TestRetarget:
+    """``model._retarget`` is the one retarget rule: A*tau, clamped to
+    [H/clamp, H*clamp] when the coin has a clamp."""
+
+    def test_matches_the_inline_rule_bit_for_bit(self):
+        # H and A span the whole positive float range, subnormals included, so
+        # H/clamp underflows to 0 and H*clamp overflows to inf in some draws
+        rng, underflows, overflows = random.Random(38), 0, 0
+        for _ in range(20000):
+            H, A = (math.ldexp(rng.uniform(0.5, 1.0), rng.randint(-1073, 1024)) for _ in range(2))
+            tau = math.ldexp(rng.uniform(0.5, 1.0), rng.randint(-80, 80))
+            coin = CoinParams(tau=tau, epsilon=0.0, w=1.0, clamp=rng.choice(_DRAWN_CLAMPS))
+            assert _retarget(coin, H, A).hex() == _inline_retarget(coin, H, A).hex(), (H, A, coin)
+            if coin.clamp is not None:
+                underflows += H / coin.clamp == 0
+                overflows += H * coin.clamp == math.inf
+        assert underflows > 0 and overflows > 0
+
+    def test_clamp_binds_from_below(self):
+        coin = CoinParams(tau=600.0, epsilon=0.0, w=1.0, clamp=1.2)
+        # 50 hashes/s retarget 60000 to 30000, below 60000/1.2
+        assert _retarget(coin, 60000.0, 50.0) == 60000.0 / 1.2 == 50000.0
+
+    def test_clamp_binds_from_above(self):
+        coin = CoinParams(tau=600.0, epsilon=0.0, w=1.0, clamp=1.2)
+        # 200 hashes/s retarget 60000 to 120000, above 60000*1.2
+        assert _retarget(coin, 60000.0, 200.0) == 60000.0 * 1.2 == 72000.0
 
 
 class TestStrategySchedule:
