@@ -6,9 +6,10 @@ sweep (ROI heatmap CSV over power and cost shares), security (attack report,
 optionally with an entrant effect).
 
 Exit codes: 0 success, 2 configuration or usage error (a config that
-cannot be read and an input too large for the available memory included),
-3 model error (stalled epoch), 4 an output that cannot be written.  Every
-exit 2 prints a JSON list of messages on stderr, bad flag values included.
+cannot be read, an input too large for the available memory and a sweep
+whose CSV could outgrow the free disk space included), 3 model error
+(stalled epoch), 4 an output that cannot be written.  Every exit 2 prints
+a JSON list of messages on stderr, bad flag values included.
 Outputs are byte-stable for identical inputs.
 """
 
@@ -305,6 +306,24 @@ def _cmd_optimize(args) -> dict:
     }
 
 
+def _require_room(path, size) -> None:
+    """Refuse to write up to ``size`` bytes to ``path`` when its filesystem
+    has less free space, counting the file already there, which ``"w"``
+    truncates.  A device or pipe at ``path`` fills no filesystem and is not
+    checked; a directory that cannot be read is left for ``open`` to report."""
+    exists = os.path.exists(path)
+    if exists and not os.path.isfile(path):
+        return
+    try:
+        fs = os.statvfs(path if exists else os.path.dirname(path) or ".")
+    except OSError:
+        return
+    free = fs.f_bavail * fs.f_frsize + (os.path.getsize(path) if exists else 0)
+    if size > free:
+        raise ConfigurationError(f"--out {path}: the CSV of this grid takes up to {size} bytes, "
+                                 f"but its filesystem has {free} bytes free")
+
+
 def _cmd_sweep(args) -> None:
     """Evaluate and write the grid in blocks of whole rows, each at most
     ``_SWEEP_BLOCK_CELLS`` cells but at least one row, so memory does not grow
@@ -318,6 +337,9 @@ def _cmd_sweep(args) -> None:
     xs = [(j + 0.5) / args.nx for j in range(args.nx)]
     ys = [(i + 0.5) / args.ny for i in range(args.ny)]
     x_cells = [f"{xv:.17g}," for xv in xs]
+    # a row's y and roi fields take at most 24 characters each as %.17g, and
+    # with their comma and newline at most 50 per cell
+    _require_room(args.out, len("x,y,roi\n") + args.ny * (sum(map(len, x_cells)) + args.nx * 50))
     rows_per_block = max(1, _SWEEP_BLOCK_CELLS // args.nx)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("x,y,roi\n")

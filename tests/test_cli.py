@@ -665,6 +665,30 @@ class TestSweep:
                      "--out", str(target)]) == 4
         capsys.readouterr()
 
+    def test_output_larger_than_the_free_space_exits_2(self, tmp_path, monkeypatch, capsys):
+        # 4,096 bytes free, plus the 9 bytes that "w" would free at old.csv
+        monkeypatch.setattr(os, "statvfs", lambda path: os.statvfs_result((4096, 4096, 0, 0, 1, 0, 0, 0, 0, 255)))
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        old.write_bytes(b"old bytes")
+        for out, free in ((new, 4096), (old, 4105)):
+            assert main(["sweep", "--mode", "smart", "--nx", "50", "--ny", "50", "--out", str(out)]) == 2
+            [message] = json.loads(capsys.readouterr().err)
+            assert re.fullmatch(rf"--out {re.escape(str(out))}: the CSV of this grid takes up to \d+ bytes, "
+                                rf"but its filesystem has {free} bytes free", message), message
+        assert not new.exists()
+        assert old.read_bytes() == b"old bytes"
+        # a device fills no filesystem, whatever the one that holds it has free
+        assert main(["sweep", "--mode", "smart", "--nx", "50", "--ny", "50", "--out", os.devnull]) == 0
+
+    def test_size_bound_is_never_below_the_bytes_written(self, tmp_path, monkeypatch):
+        bounds = []
+        monkeypatch.setattr(cli, "_require_room", lambda path, size: bounds.append(size))
+        rng, out = random.Random(39), tmp_path / "sweep.csv"
+        for mode in list(SWEEP_50_SHA256) * 12:
+            nx, ny = rng.randint(2, 60), rng.randint(2, 60)
+            assert main(["sweep", "--mode", mode, "--nx", str(nx), "--ny", str(ny), "--out", str(out)]) == 0
+            assert bounds.pop() >= out.stat().st_size, (mode, nx, ny)
+
 
 class TestSecurityCommand:
     def test_smart_deviator_report(self, tmp_path, capsys):
