@@ -6,11 +6,11 @@ sweep (ROI heatmap CSV over power and cost shares), security (attack report,
 optionally with an entrant effect).
 
 Exit codes: 0 success, 2 configuration or usage error (a config that
-cannot be read, an input too large for the available memory and a sweep
-whose CSV could outgrow the free disk space included), 3 model error
-(stalled epoch), 4 an output that cannot be written.  Every exit 2 prints
-a JSON list of messages on stderr, bad flag values included.
-Outputs are byte-stable for identical inputs.
+cannot be read or is longer than 2**26 characters, an input too large for
+the available memory and a sweep whose CSV could outgrow the free disk
+space included), 3 model error (stalled epoch), 4 an output that cannot be
+written.  Every exit 2 prints a JSON list of messages on stderr, bad flag
+values included.  Outputs are byte-stable for identical inputs.
 """
 
 from __future__ import annotations
@@ -59,6 +59,8 @@ EXIT_IO = 4
 
 # most cells that the sweep command evaluates and formats before writing them
 _SWEEP_BLOCK_CELLS = 2**16
+# most characters of a scenario config that are read
+_CONFIG_CHARS = 2**26
 
 
 def _number(value):
@@ -112,13 +114,19 @@ def _load_scenario(path):
     the error list is actionable in one pass, and reports each fault once:
     the checks across sections run only on a miner section that parsed in
     full.  A key that no section reads, or one repeated within an object, is
-    a fault too.
+    a fault too.  At most ``_CONFIG_CHARS`` characters are read: a longer or
+    endless input is refused before it can exhaust memory.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh, object_pairs_hook=_unique_keys)
+            text = fh.read(_CONFIG_CHARS + 1)
+        if len(text) > _CONFIG_CHARS:
+            raise ConfigurationError(f"config is longer than {_CONFIG_CHARS} characters")
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigurationError(f"cannot read config: {exc}")
+    except ConfigurationError:
+        raise
     except (ValueError, RecursionError) as exc:
         raise ConfigurationError(f"config is not valid JSON: {exc}")
     if not isinstance(doc, dict):
@@ -325,32 +333,32 @@ def _require_room(path, size) -> None:
 
 
 def _cmd_sweep(args) -> None:
-    """Evaluate and write the grid in blocks of whole rows, each at most
-    ``_SWEEP_BLOCK_CELLS`` cells but at least one row, so memory does not grow
-    with the row count.  Every cell gets the float operations of one
-    whole-grid ``sweep`` call, so the bytes do not depend on the block size,
-    and a grid of at most that many cells is one ``sweep`` call and one
-    write."""
+    """Evaluate and write the grid in tiles of at most ``_SWEEP_BLOCK_CELLS``
+    cells: whole rows when a row fits, otherwise one row in column spans
+    written in order, so memory grows with neither axis.  The size check is
+    a closed form of the flags and runs before any axis or file exists.
+    Every cell gets the float operations of one whole-grid ``sweep`` call, so
+    the bytes do not depend on the tile size, and a grid of at most that many
+    cells is one ``sweep`` call and one write."""
     if args.nx < 2 or args.ny < 2:
         raise ConfigurationError("--nx and --ny must be >= 2")
-    # cell centers keep every grid point strictly inside (0, 1)
-    xs = [(j + 0.5) / args.nx for j in range(args.nx)]
-    ys = [(i + 0.5) / args.ny for i in range(args.ny)]
-    x_cells = [f"{xv:.17g}," for xv in xs]
-    # a row's y and roi fields take at most 24 characters each as %.17g, and
-    # with their comma and newline at most 50 per cell
-    _require_room(args.out, len("x,y,roi\n") + args.ny * (sum(map(len, x_cells)) + args.nx * 50))
-    rows_per_block = max(1, _SWEEP_BLOCK_CELLS // args.nx)
+    # a line is three %.17g fields of at most 24 characters, two commas and a newline
+    _require_room(args.out, len("x,y,roi\n") + 75 * args.nx * args.ny)
+    cols, rows = min(args.nx, _SWEEP_BLOCK_CELLS), max(1, _SWEEP_BLOCK_CELLS // args.nx)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("x,y,roi\n")
-        for start in range(0, args.ny, rows_per_block):
-            block = ys[start:start + rows_per_block]
-            chunks = []
-            for yv, row in zip(block, sweep(xs, block, args.mode).tolist()):
-                # one line per x cell, its roi slot formatted as f"{r:.17g}" would
-                y_cell = f"{yv:.17g},%.17g\n"
-                chunks.append("".join([x_cell + y_cell for x_cell in x_cells]) % tuple(row))
-            fh.write("".join(chunks))
+        for i0 in range(0, args.ny, rows):
+            # cell centers keep every grid point strictly inside (0, 1)
+            ys = [(i + 0.5) / args.ny for i in range(i0, min(i0 + rows, args.ny))]
+            for j0 in range(0, args.nx, cols):
+                xs = [(j + 0.5) / args.nx for j in range(j0, min(j0 + cols, args.nx))]
+                x_cells = [f"{xv:.17g}," for xv in xs]
+                chunks = []
+                for yv, row in zip(ys, sweep(xs, ys, args.mode).tolist()):
+                    # one line per x cell, its roi slot formatted as f"{r:.17g}" would
+                    y_cell = f"{yv:.17g},%.17g\n"
+                    chunks.append((y_cell.join(x_cells) + y_cell) % tuple(row))
+                fh.write("".join(chunks))
 
 
 def _cmd_security(args) -> dict:

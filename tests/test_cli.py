@@ -634,6 +634,23 @@ class TestSweep:
         assert blocks.read_bytes() == one.read_bytes()
         assert hashlib.sha256(blocks.read_bytes()).hexdigest() == SWEEP_50_SHA256[mode]
 
+    @pytest.mark.parametrize("mode", list(SWEEP_50_SHA256))
+    def test_column_tiles_write_the_bytes_of_one_block(self, tmp_path, monkeypatch, mode):
+        # a 50-cell row does not fit a 16-cell tile, so each row is written
+        # in spans of 16, 16, 16 and 2 cells
+        calls = []
+
+        def counted(xs, ys, mode):
+            calls.append(len(xs) * len(ys))
+            return sweep(xs, ys, mode)
+
+        monkeypatch.setattr(cli, "sweep", counted)
+        monkeypatch.setattr(cli, "_SWEEP_BLOCK_CELLS", 16)
+        out = tmp_path / "tiles.csv"
+        assert main(["sweep", "--mode", mode, "--nx", "50", "--ny", "50", "--out", str(out)]) == 0
+        assert calls == [16, 16, 16, 2] * 50
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_50_SHA256[mode]
+
     def test_memory_does_not_grow_with_the_rows(self, tmp_path, monkeypatch):
         # one block's arrays and text are the peak: 16 times the rows in
         # 2,000-cell blocks stay within 1.5 times the peak of one block
@@ -647,6 +664,24 @@ class TestSweep:
             tracemalloc.start()
             try:
                 assert main(["sweep", "--mode", "smart", "--nx", "200", "--ny", ny, "--out", str(out)]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0], peaks
+
+    def test_memory_does_not_grow_with_the_columns(self, tmp_path, monkeypatch):
+        # a row longer than a tile is written in spans: 16 times the columns
+        # in 2,000-cell tiles stay within 1.5 times the peak of 2 tiles a row
+        import tracemalloc
+
+        monkeypatch.setattr(cli, "_SWEEP_BLOCK_CELLS", 2000)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--mode", "smart", "--nx", "2", "--ny", "2", "--out", str(out)]) == 0   # loads numpy
+        peaks = []
+        for nx in ("4000", "64000"):
+            tracemalloc.start()
+            try:
+                assert main(["sweep", "--mode", "smart", "--nx", nx, "--ny", "2", "--out", str(out)]) == 0
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -1126,6 +1161,19 @@ class TestInputBoundary:
         errors = json.loads(captured.err)
         assert len(errors) == 1 and errors[0].startswith("cannot read config: "), errors
 
+    def test_config_over_the_cap_exits_2(self, tmp_path, capsys, monkeypatch):
+        cfg = _write_config(tmp_path, SMART_CONFIG)
+        with open(cfg, encoding="utf-8") as fh:
+            size = len(fh.read())
+        monkeypatch.setattr(cli, "_CONFIG_CHARS", size)
+        assert main(["security", cfg]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "_CONFIG_CHARS", size - 1)
+        assert main(["security", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == [f"config is longer than {size - 1} characters"]
+
     def test_help_and_version_exit_0(self, capsys):
         for argv in (["--help"], ["--version"], ["security", "--help"]):
             with pytest.raises(SystemExit) as exc:
@@ -1335,6 +1383,15 @@ print(json.dumps([code, "numpy" in sys.modules, "dataclasses" in sys.modules]))
 """
 
 
+def _address_space_cap(megabytes):
+    """A ``preexec_fn`` that caps the child's address space at ``megabytes`` MB."""
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (megabytes * 1024 ** 2, megabytes * 1024 ** 2))
+    return cap
+
+
 def _child(args, **kwargs):
     """Run ``python args`` on this source tree in a fresh interpreter."""
     # one OpenBLAS thread keeps numpy's own reservations small under an address-space cap
@@ -1382,22 +1439,35 @@ class TestFreshProcess:
         assert 0.0 < report["delta_fraction"] < 1.0
 
     def test_out_of_memory_exits_2(self, tmp_path):
-        import resource
-
-        def cap_address_space():
-            resource.setrlimit(resource.RLIMIT_AS, (512 * 1024 ** 2, 512 * 1024 ** 2))
-
-        out = tmp_path / "x.csv"
-        # sweep holds one block of rows at a time but every y value: 1e10 of
-        # them need 320 GB as a list of floats, which it builds before opening
-        # the output
-        result = _child(["-m", "smartmining.cli", "sweep", "--mode", "smart", "--nx", "2", "--ny", "10000000000",
-                         "--out", str(out)], preexec_fn=cap_address_space, timeout=60)
+        cfg = _write_config(tmp_path, SMART_CONFIG)
+        out = tmp_path / "sim"
+        # simulate keeps every epoch's record, about 230 B each, and writes
+        # its output only after the last epoch: 1e9 of them outgrow the cap
+        result = _child(["-m", "smartmining.cli", "simulate", cfg, "--epochs", "1000000000", "--out", str(out)],
+                        preexec_fn=_address_space_cap(512), timeout=60)
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
         errors = json.loads(result.stderr)
         assert isinstance(errors, list) and any("out of memory" in e for e in errors), errors
         assert not out.exists()
+
+    def test_huge_grid_is_refused_before_it_is_built(self, tmp_path):
+        # 3e11 cells: an axis of 1e11 floats would need 3.2 TB, so under the
+        # cap only a size check that runs before any axis exists can answer
+        out = tmp_path / "x.csv"
+        result = _child(["-m", "smartmining.cli", "sweep", "--mode", "smart", "--nx", "3", "--ny", "100000000000",
+                         "--out", str(out)], preexec_fn=_address_space_cap(512), timeout=30)
+        assert result.returncode == 2
+        [message] = json.loads(result.stderr)
+        assert message.startswith(f"--out {out}: the CSV of this grid takes up to 22500000000008 bytes, "), message
+        assert not out.exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+    def test_endless_config_exits_2(self):
+        result = _child(["-m", "smartmining.cli", "security", "/dev/zero"],
+                        preexec_fn=_address_space_cap(512), timeout=30)
+        assert result.returncode == 2
+        assert json.loads(result.stderr) == [f"config is longer than {cli._CONFIG_CHARS} characters"]
 
     def test_overlong_steady_cycle_exits_2_at_once(self, tmp_path):
         cfg = _write_config(tmp_path, LONG_CYCLE_CONFIG)
