@@ -5,9 +5,9 @@ cost-plus-margin rate is proportional to its hash power, so at full
 participation each miner earns exactly the margin epsilon.  This is the state
 all deviation closed forms are derived against.  ``NO_REPEAT_CONFIG``,
 ``DISTINCT_POWERS_CONFIG`` and ``ALWAYS_ON_CONFIG`` are scenario config
-documents, shared with CI steps such as the one that compares outputs
-across Python versions, and ``SMART_CONFIG``,
-``clamped`` and ``CLAMPED_BIG_CONFIG`` are the CLI's reference configs.
+documents, shared with ``test_outputs``' digest table and CI's log steps,
+and ``SMART_CONFIG``, ``clamped`` and ``CLAMPED_BIG_CONFIG`` are the CLI's
+reference configs.
 """
 
 import json

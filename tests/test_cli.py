@@ -38,6 +38,7 @@ from smartmining.analytic import sweep
 from smartmining.cli import _load_scenario, main
 from smartmining.engine import run, trace_utilities
 from smartmining.security import security_report
+from test_outputs import SWEEP_50_SHA256
 
 # attack_trio's market: the attacker idles in even epochs and the bystander
 # in odd ones, the attacker's full epochs
@@ -244,12 +245,6 @@ RATE_OVERFLOW_CONFIG = {
     "coin": {"tau": 1e-10},
     "reward": 1e300,
     "miners": [{"id": mid, "m": 5e9, "fc": 1.0, "vc": 0.0} for mid in ("a", "b")],
-}
-
-# sha256 of `sweep --nx 50 --ny 50` output per mode, as the per-cell loop wrote it
-SWEEP_50_SHA256 = {
-    "smart": "649774d028adaefc0904845ec98c5baef29a740b02cfc0599c8e5287c4f2c9b0",
-    "smarter": "bab48a2f75ee3ae991d211d950db312406f2aede46965abda4956ae779bab637",
 }
 
 _MISSING = object()
@@ -609,12 +604,6 @@ class TestSweep:
         _, smarter_rows = _read_csv(smarter_out)
         for a, b in zip(smart_rows, smarter_rows):
             assert float(b[2]) >= float(a[2])
-
-    @pytest.mark.parametrize("mode", list(SWEEP_50_SHA256))
-    def test_golden_digest(self, tmp_path, mode):
-        out = tmp_path / "sweep.csv"
-        assert main(["sweep", "--mode", mode, "--nx", "50", "--ny", "50", "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_50_SHA256[mode]
 
     @pytest.mark.parametrize("mode", list(SWEEP_50_SHA256))
     def test_blocks_write_the_bytes_of_one_block(self, tmp_path, monkeypatch, mode):
